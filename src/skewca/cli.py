@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 input error, 3 numeric or degenerate-data error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -68,9 +69,14 @@ def _parse_grid(text: str):
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise InputError(f"--grid expects numbers, got {text!r}") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise InputError(f"--grid needs finite numbers, got {text!r}")
     if step <= 0 or stop < start:
         raise InputError(f"--grid needs step > 0 and stop >= start, got {text!r}")
-    count = int(round((stop - start) / step)) + 1
+    span = (stop - start) / step
+    if not math.isfinite(span):
+        raise InputError(f"--grid point count overflows, got {text!r}")
+    count = int(round(span)) + 1
     return [round(start + k * step, 12) for k in range(count)]
 
 

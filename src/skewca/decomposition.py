@@ -10,16 +10,17 @@ Singular values of a real skew-symmetric matrix come in equal pairs, and
 left/right singular vectors are linked by a block rotation: with J the
 block-diagonal matrix of 2x2 blocks [[0, 1], [-1, 0]], the SVD can be
 written S = A D J A^T with right vectors B = A J^T. We exploit that
-structure instead of computing independent factors: pairing then holds
-exactly and the rotation ambiguity inside each equal-singular-value plane
-is fixed by an explicit canonical orientation.
+structure instead of computing independent factors: one Hermitian
+eigensolve of i S yields every pair plane at once, pairing then holds
+exactly, and the rotation ambiguity inside each equal-singular-value
+plane is fixed by an explicit canonical orientation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -156,143 +157,53 @@ def skew_matrix(p: ProbabilityTable, lam: float) -> SkewMatrix:
     return SkewMatrix(values=s, lam=profile.lam)
 
 
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    # summed directly from the off-diagonal entries: the textbook
-    # ||A||^2 - ||diag||^2 form cancels catastrophically near convergence
-    masked = a.copy()
-    np.fill_diagonal(masked, 0.0)
-    return float(np.linalg.norm(masked))
-
-
-def _jacobi_eigh(mat: np.ndarray, sweep_tol: float = 1e-14, max_sweeps: int = 60):
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    Sweeps rotate away every off-diagonal element in turn until the
-    off-diagonal Frobenius mass falls below sweep_tol times the matrix
-    norm, or stops shrinking. Returns eigenvalues (descending, stable
-    order) and the matching orthonormal eigenvector columns.
-    """
-    a = np.array(mat, dtype=float)
-    n = a.shape[0]
-    vecs = np.eye(n)
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return np.zeros(n), vecs
-    previous_off = math.inf
-    for _ in range(max_sweeps):
-        off = _off_diagonal_norm(a)
-        if off <= sweep_tol * norm or off >= previous_off:
-            break
-        previous_off = off
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
-                vec_p, vec_q = vecs[:, p].copy(), vecs[:, q].copy()
-                vecs[:, p] = c * vec_p - s * vec_q
-                vecs[:, q] = s * vec_p + c * vec_q
-    eigvals = np.diag(a).copy()
-    order = np.argsort(-eigvals, kind="stable")
-    return eigvals[order], vecs[:, order]
-
-
-def _orthogonalize(vec: np.ndarray, against: Iterable[np.ndarray]) -> np.ndarray:
-    for prev in against:
-        vec = vec - (prev @ vec) * prev
-    return vec
-
-
 def _canonical_sign(vec: np.ndarray) -> np.ndarray:
     """Flip so the largest-magnitude entry is positive (ties: lowest index)."""
     return -vec if vec[int(np.argmax(np.abs(vec)))] < 0 else vec
 
 
-def _next_seed(vecs: np.ndarray, used: list[bool], cols: list[np.ndarray]):
-    """Unused eigenvector with the largest residual outside the built planes.
-
-    Inside a degenerate eigenvalue cluster the plane spanned by one
-    eigenvector and its image can swallow other eigenvectors of the same
-    cluster, so residual norms decide which candidate still carries a new
-    direction. Near-ties resolve to the lowest (highest-eigenvalue) index.
-    """
-    best_index, best_vec, best_norm = -1, None, -1.0
-    for i in range(vecs.shape[1]):
-        if used[i]:
-            continue
-        vec = _orthogonalize(vecs[:, i].copy(), cols)
-        norm = float(np.linalg.norm(vec))
-        if norm > best_norm + 1e-9:
-            best_index, best_vec, best_norm = i, vec, norm
-    used[best_index] = True
-    return best_vec / best_norm
-
-
 def paired_svd(skew: np.ndarray) -> PairedSVD:
     """Canonically oriented paired SVD of a skew-symmetric matrix.
 
-    The symmetric positive-semidefinite matrix -S^2 is diagonalized by
-    cyclic Jacobi; each of its eigenplanes carries one singular pair. A
-    pair's first left vector is chosen inside its plane so that the
-    category with the greatest in-plane mass gets a positive and maximal
-    first coordinate (ties to the lowest index); the second vector is the
-    image -S a / mu, which makes the pairing and the block-rotation link
-    to the right vectors exact. Null-space dimensions keep zero singular
-    values; for odd R the single leftover null vector is dropped.
+    i S is Hermitian with eigenvalues +-mu; the real and imaginary parts
+    of a +mu eigenvector span the plane of one singular pair, even inside
+    clusters of equal values. The eigenvector's phase is fixed so that
+    the category with the greatest in-plane mass gets a positive and
+    maximal first coordinate (ties to the lowest index); the second
+    vector is the image -S a / mu, which makes the pairing and the
+    block-rotation link to the right vectors exact. Pairs below
+    ZERO_SINGULAR_RTOL of the largest value are structural zeros, filled
+    with a canonically signed orthonormal completion of the retained
+    vectors; for odd R the single leftover null vector is dropped.
     """
     size = skew.shape[0]
-    n_dims = size if size % 2 == 0 else size - 1
-    gram = -skew @ skew
-    _, vecs = _jacobi_eigh(gram)
-    # classify through the action of the matrix itself: squaring loses half
-    # the available precision, the image norms do not
-    probes = np.linalg.norm(skew @ vecs, axis=0)
-    mu_max = float(probes.max(initial=0.0))
+    n_dims = size - size % 2
+    mus, vecs = np.linalg.eigh(1j * skew)
+    # eigh sorts ascending: the last n_dims / 2 eigenpairs, reversed, are the +mu ones
+    mus, vecs = mus[::-1][: n_dims // 2], vecs[:, ::-1]
+    n_kept = int(np.count_nonzero(mus > ZERO_SINGULAR_RTOL * mus.max(initial=0.0)))
     left = np.zeros((size, n_dims))
     singular = np.zeros(n_dims)
-    if mu_max == 0.0:
-        left[:, :] = np.eye(size)[:, :n_dims]
-        return PairedSVD(left_vectors=_ro(left), singular_values=_ro(singular))
-    cols: list[np.ndarray] = []
-    used = [False] * size
-    for k in range(n_dims // 2):
-        base = _next_seed(vecs, used, cols)
-        image = skew @ base
-        mu_probe = float(np.linalg.norm(image))
-        if mu_probe <= ZERO_SINGULAR_RTOL * mu_max:
-            first = _canonical_sign(base)
-            second = _canonical_sign(_next_seed(vecs, used, cols + [first]))
-            left[:, 2 * k], left[:, 2 * k + 1] = first, second
-            cols += [first, second]
-            continue
-        partner = _orthogonalize(-image / mu_probe, cols)
-        partner = partner - (base @ partner) * base
-        partner /= np.linalg.norm(partner)
-        pivot = int(np.argmax(base**2 + partner**2))
-        first = base[pivot] * base + partner[pivot] * partner
+    for k in range(n_kept):
+        u = vecs[:, k]
+        pivot = int(np.argmax(np.abs(u)))
+        first = (u * (abs(u[pivot]) / u[pivot])).real
+        # re-orthogonalize against the built pairs: over spectra spread across
+        # many decades eigenvectors of tiny values lose orthogonality otherwise
+        done = left[:, : 2 * k]
+        first -= done @ (done.T @ first)
         first /= np.linalg.norm(first)
-        image = skew @ first
-        mu = float(np.linalg.norm(image))
-        second = _orthogonalize(-image / mu, cols + [first])
+        second = -skew @ first
+        second -= done @ (done.T @ second) + (first @ second) * first
         second /= np.linalg.norm(second)
         left[:, 2 * k], left[:, 2 * k + 1] = first, second
-        singular[2 * k] = singular[2 * k + 1] = mu
-        cols += [first, second]
-    # refined values may reorder near-ties; restore the non-increasing contract
-    pair_order = np.argsort(-singular[::2], kind="stable")
-    col_order = np.ravel(np.column_stack((2 * pair_order, 2 * pair_order + 1)))
-    return PairedSVD(left_vectors=_ro(left[:, col_order]), singular_values=_ro(singular[col_order]))
+        singular[2 * k] = singular[2 * k + 1] = mus[k]
+    kept = 2 * n_kept
+    if kept < n_dims:
+        completion = np.linalg.qr(left[:, :kept], mode="complete")[0]
+        for c in range(kept, n_dims):
+            left[:, c] = _canonical_sign(completion[:, c])
+    return PairedSVD(left_vectors=_ro(left), singular_values=_ro(singular))
 
 
 def _ro(arr: np.ndarray) -> np.ndarray:

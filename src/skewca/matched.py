@@ -3,11 +3,12 @@
 Two tables over identical categories yield skew matrices S1 and S2 on a
 common [0,1] scale, so S1 + S2 (shared asymmetry) and S1 - S2
 (differential asymmetry) are directly comparable even when the sample
-sizes differ wildly. One SVD of the block matrix [[S1, S2], [S2, S1]]
-delivers both decompositions at once: its singular values are the union
-of the sum and difference singular values, interleaved in descending
-order, and its singular vectors stack the component vectors in
-duplicated (sum) or sign-flipped (difference) blocks.
+sizes differ wildly. The block matrix [[S1, S2], [S2, S1]] carries both
+decompositions at once: its singular values are the union of the sum and
+difference singular values, interleaved in descending order, and its
+singular vectors stack the component vectors in duplicated (sum) or
+sign-flipped (difference) blocks. Its SVD is therefore assembled from
+the two component SVDs instead of being computed.
 """
 
 from __future__ import annotations
@@ -17,12 +18,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import PairedSVD, SkewMatrix, metric_weights, paired_svd, skew_matrix
-from .errors import ConsistencyError, DimensionMismatchError, LabelMismatchError
+from .decomposition import (
+    PairedSVD,
+    SkewMatrix,
+    _canonical_sign,
+    metric_weights,
+    paired_svd,
+    skew_matrix,
+)
+from .errors import DimensionMismatchError, LabelMismatchError
 from .table import ContingencyTable, ProbabilityTable, to_probabilities, validate_table
-
-# relative tolerance when attributing a block singular value to a component
-MATCH_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,39 +77,12 @@ class MatchedCoordinates:
     difference_singular_values: np.ndarray = field(repr=False)
 
 
-def _padded_values(svd: PairedSVD, full: int) -> np.ndarray:
-    """Singular values padded with the structural zeros dropped for odd sizes."""
-    vals = np.zeros(full)
-    vals[: svd.n_dims] = svd.singular_values
-    return vals
-
-
-def _classify(block_values: np.ndarray, plus: np.ndarray, minus: np.ndarray):
-    """Attribute each block singular value to the sum or the difference SVD.
-
-    Greedy merge over the descending value lists; exact ties go to the sum
-    component first. Verifies multiset equality as it goes.
-    """
-    classes: list[DimensionClass] = []
-    ip = im = 0
-    scale = max(float(block_values[0]) if block_values.size else 0.0, 1e-300)
-    for value in block_values:
-        dp = abs(value - plus[ip]) if ip < plus.size else math.inf
-        dm = abs(value - minus[im]) if im < minus.size else math.inf
-        if dp <= dm:
-            classes.append(DimensionClass("sum", ip + 1, float(value)))
-            mismatch = dp
-            ip += 1
-        else:
-            classes.append(DimensionClass("difference", im + 1, float(value)))
-            mismatch = dm
-            im += 1
-        if mismatch > MATCH_RTOL * scale:
-            raise ConsistencyError(
-                f"block singular value {value!r} matches no component value "
-                f"(best residual {mismatch!r})"
-            )
-    return tuple(classes)
+def _padded_vectors(svd: PairedSVD, size: int) -> np.ndarray:
+    """Left vectors plus, for odd R, the null vector the paired SVD drops."""
+    if svd.n_dims == size:
+        return svd.left_vectors
+    null = np.linalg.qr(svd.left_vectors, mode="complete")[0][:, -1]
+    return np.column_stack((svd.left_vectors, _canonical_sign(null)))
 
 
 def build_matched(
@@ -113,7 +91,9 @@ def build_matched(
     """Skew matrices, sum/difference SVDs, and the classified block SVD.
 
     Both tables must share the same labels in the same order and both must
-    carry off-diagonal mass. The two skew matrices use the same lam.
+    carry off-diagonal mass. The two skew matrices use the same lam. The
+    block SVD is assembled from the sum and difference SVDs; the block
+    matrix itself is kept for reference and is never factorized.
     """
     if t1.size != t2.size:
         raise DimensionMismatchError(f"table sizes differ: {t1.size} vs {t2.size}")
@@ -132,14 +112,28 @@ def build_matched(
     block = np.block([[s1, s2], [s2, s1]])
     svd_plus = paired_svd(s_plus)
     svd_minus = paired_svd(s_minus)
-    block_svd = paired_svd(block)
     size = t1.size
-    plus_vals = _padded_values(svd_plus, size)
-    minus_vals = _padded_values(svd_minus, size)
-    classes = _classify(block_svd.singular_values, plus_vals, minus_vals)
-    _validate_block_structure(block_svd, classes, plus_vals, minus_vals)
+    # the block maps [b; b] to [S+ b; S+ b] and [b; -b] to [S- b; -S- b], so
+    # its singular vectors are the component vectors, duplicated for the sum
+    # and sign-flipped for the difference; odd sizes add each null vector
+    plus_vecs = _padded_vectors(svd_plus, size)
+    minus_vecs = _padded_vectors(svd_minus, size)
+    vectors = np.block([[plus_vecs, minus_vecs], [plus_vecs, -minus_vecs]]) / math.sqrt(2.0)
+    values = np.zeros(2 * size)
+    values[: svd_plus.n_dims] = svd_plus.singular_values
+    values[size : size + svd_minus.n_dims] = svd_minus.singular_values
+    # pair values are exactly equal, so the stable merge keeps pairs adjacent
+    # and sends exact ties to the sum component first
+    order = np.argsort(-values, kind="stable")
+    block_svd = PairedSVD(left_vectors=vectors[:, order], singular_values=values[order])
+    classes = tuple(
+        DimensionClass(
+            "sum" if i < size else "difference", int(i % size) + 1, float(values[i])
+        )
+        for i in order
+    )
     pooled = to_probabilities(validate_table(t1.labels, t1.counts + t2.counts))
-    for arr in (s_plus, s_minus, block):
+    for arr in (s_plus, s_minus, block, block_svd.left_vectors, block_svd.singular_values):
         arr.setflags(write=False)
     return MatchedAnalysis(
         labels=t1.labels,
@@ -155,38 +149,6 @@ def build_matched(
         dim_classes=classes,
         pooled=pooled,
     )
-
-
-def _validate_block_structure(
-    block_svd: PairedSVD,
-    classes: tuple[DimensionClass, ...],
-    plus_vals: np.ndarray,
-    minus_vals: np.ndarray,
-) -> None:
-    """Check the duplicated / sign-flipped block pattern of the singular vectors.
-
-    Sum dimensions must have their second vector block equal to the first,
-    difference dimensions the negated first. Dimensions whose singular
-    value could belong to either component (value ties within tolerance)
-    are skipped: there the attribution is a labeling convention and the
-    vector blocks may legitimately mix.
-    """
-    vectors = block_svd.left_vectors
-    half = vectors.shape[0] // 2
-    scale = max(float(block_svd.singular_values[0]) if block_svd.singular_values.size else 0.0, 1e-300)
-    for m, cls in enumerate(classes):
-        value = cls.singular_value
-        near_plus = np.any(np.abs(plus_vals - value) <= MATCH_RTOL * scale)
-        near_minus = np.any(np.abs(minus_vals - value) <= MATCH_RTOL * scale)
-        if near_plus and near_minus:
-            continue
-        top, bottom = vectors[:half, m], vectors[half:, m]
-        expected = top if cls.component == "sum" else -top
-        if not np.allclose(bottom, expected, atol=1e-8 * max(scale, 1.0)):
-            raise ConsistencyError(
-                f"block dimension {m + 1} tagged {cls.component!r} violates the "
-                "duplicated/sign-flipped block pattern"
-            )
 
 
 def matched_coordinates(m: MatchedAnalysis, metric: str = "identity") -> MatchedCoordinates:

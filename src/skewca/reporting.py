@@ -389,7 +389,7 @@ def _component_svg(
 def run_matched(
     config: AnalysisConfig, t1: ContingencyTable, t2: ContingencyTable
 ) -> AnalysisReport:
-    """Matched-pair pipeline: block SVD, classification, component coordinates."""
+    """Matched-pair pipeline: component SVDs merged into the block SVD, coordinates."""
     analysis = build_matched(t1, t2, config.lam)
     coords = matched_coordinates(analysis, config.metric)
     total_inertia = float(np.sum(analysis.block_svd.singular_values ** 2))

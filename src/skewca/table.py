@@ -110,8 +110,3 @@ def to_probabilities(t: ContingencyTable) -> ProbabilityTable:
         col_margins=_frozen(p.sum(axis=0)),
         delta=float(off.sum()),
     )
-
-
-def off_diagonal_mass(p: ProbabilityTable) -> float:
-    """Total probability mass off the diagonal (0 for purely diagonal tables)."""
-    return p.delta

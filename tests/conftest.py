@@ -1,9 +1,9 @@
 """Shared fixtures and independent oracle implementations.
 
 The oracle functions here recompute everything from the raw formulas with
-plain loops and numpy.linalg (LAPACK) factorizations; the package itself
-uses its own Jacobi-based route, so agreement between the two is a real
-cross-check, not a tautology.
+plain loops and numpy.linalg (LAPACK) factorizations of S or -S^2; the
+package itself pairs the singular vectors from a Hermitian eigensolve of
+i S, so agreement between the two is a real cross-check, not a tautology.
 """
 
 from __future__ import annotations

@@ -180,6 +180,13 @@ def test_exit_code_3_for_symmetric_scan(capsys, tmp_path):
     assert "symmetric" in err
 
 
+def test_exit_code_2_for_non_finite_grid(capsys, coffee_csv):
+    for grid in ("0:1e308:1e-308", "nan:1:0.1", "0:inf:1"):
+        code, _, err = run_cli(capsys, "scan", str(coffee_csv), "--grid", grid)
+        assert code == 2, grid
+        assert "--grid" in err
+
+
 def test_error_text_names_offending_cell(capsys, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\na,1,x\nb,3,4\n", encoding="utf-8")

@@ -103,6 +103,15 @@ def test_reconstruction_on_large_random_tables(rng):
         )
 
 
+def planted_skew(basis, values):
+    """Sum of mu_k (q_2k q_2k+1^T - q_2k+1 q_2k^T) over orthonormal columns q."""
+    s = np.zeros((basis.shape[0], basis.shape[0]))
+    for k, mu in enumerate(values):
+        a, b = basis[:, 2 * k], basis[:, 2 * k + 1]
+        s += mu * (np.outer(a, b) - np.outer(b, a))
+    return s
+
+
 def test_paired_svd_handles_repeated_singular_values(rng):
     basis = np.linalg.qr(rng.normal(size=(6, 4)))[0]
     s = 0.7 * (np.outer(basis[:, 0], basis[:, 1]) - np.outer(basis[:, 1], basis[:, 0]))
@@ -111,6 +120,36 @@ def test_paired_svd_handles_repeated_singular_values(rng):
     assert np.abs(svd.reconstruct() - s).max() < 1e-12
     assert np.allclose(svd.singular_values[:4], 0.7, atol=1e-12)
     assert np.allclose(svd.singular_values[4:], 0.0, atol=1e-12)
+
+    def orthonormal(size):
+        return np.linalg.qr(rng.normal(size=(size, size)))[0]
+
+    structured = [
+        # two equal pairs in R = 5
+        planted_skew(np.linalg.qr(np.random.default_rng(0).normal(size=(5, 5)))[0], [0.7, 0.7]),
+        # odd R, every nonzero value equal
+        planted_skew(orthonormal(7), [0.5, 0.5, 0.5]),
+        # even R, rank-deficient: zero pairs after nonzero ones
+        planted_skew(orthonormal(8), [1.3, 0.4]),
+        # values spread down to 1e-9 of the largest
+        planted_skew(orthonormal(6), [1.0, 3e-5, 1e-9]),
+    ]
+    for s in structured:
+        svd = paired_svd(s)
+        n_dims = svd.n_dims
+        left, vals = svd.left_vectors, svd.singular_values
+        lapack = np.linalg.svd(s, compute_uv=False)[:n_dims]
+        assert np.abs(vals - lapack).max() < 1e-10
+        assert np.abs(svd.reconstruct() - s).max() < 1e-10
+        assert np.abs(left.T @ left - np.eye(n_dims)).max() < 1e-10
+        right = svd.right_vectors
+        assert np.abs(right.T @ right - np.eye(n_dims)).max() < 1e-10
+        for k in range(n_dims // 2):
+            assert vals[2 * k] == vals[2 * k + 1]
+            if vals[2 * k] > 0.0:
+                first, second = left[:, 2 * k], left[:, 2 * k + 1]
+                pivot = int(np.argmax(first**2 + second**2))
+                assert first[pivot] > 0.0
 
 
 def test_paired_svd_zero_matrix():

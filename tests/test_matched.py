@@ -65,8 +65,8 @@ def test_transposed_pair_kills_the_sum_component(rng):
 
 
 def test_block_values_union_property(rng):
-    for _ in range(200):
-        size = int(rng.integers(3, 6))
+    for draw in range(201):
+        size = int(rng.integers(3, 6)) if draw < 200 else 5  # plus one odd size for sure
         t1 = random_table(rng, size)
         t2 = validate_table(t1.labels, random_table(rng, size).counts)
         m = build_matched(t1, t2, 1.0)
@@ -76,6 +76,10 @@ def test_block_values_union_property(rng):
         pooled[size : size + m.svd_minus.n_dims] = m.svd_minus.singular_values
         assert np.abs(block_vals - np.sort(pooled)).max() < 1e-9
         assert np.all(np.diff(m.block_svd.singular_values) <= 1e-12)
+        # the block matrix is the oracle for the assembled block SVD
+        assert np.abs(m.block_svd.reconstruct() - m.block).max() < 1e-12
+        oracle = np.linalg.svd(m.block, compute_uv=False)
+        assert np.abs(m.block_svd.singular_values - oracle).max() < 1e-12
 
 
 def test_skew_closure(rng):
@@ -160,6 +164,10 @@ def test_opinion_block_vector_pattern(opinions):
             assert np.abs(bottom - top).max() < 1e-10
         else:
             assert np.abs(bottom + top).max() < 1e-10
+    # the pattern holds by construction; the block matrix is the oracle
+    assert np.abs(m.block_svd.reconstruct() - m.block).max() < 1e-12
+    oracle = np.linalg.svd(m.block, compute_uv=False)
+    assert np.abs(m.block_svd.singular_values - oracle).max() < 1e-12
 
 
 def test_opinion_coordinates_match_published_norms(opinions):

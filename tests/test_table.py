@@ -10,7 +10,7 @@ from skewca.errors import (
     NegativeEntryError,
     NonSquareError,
 )
-from skewca.table import off_diagonal_mass, to_probabilities, validate_table
+from skewca.table import to_probabilities, validate_table
 
 
 def test_basic_table():
@@ -71,7 +71,7 @@ def test_uniform_probabilities():
 
 def test_diagonal_table_has_zero_delta():
     p = to_probabilities(validate_table(["a", "b"], [[5, 0], [0, 5]]))
-    assert off_diagonal_mass(p) == 0.0
+    assert p.delta == 0.0
 
 
 def test_coffee_delta(coffee):
