@@ -1,11 +1,7 @@
 """Correspondence analysis of departures from symmetry in square contingency tables."""
 
-from .confidence import (
-    ConfidenceRegion,
-    chi_square_cdf,
-    chi_square_quantile,
-    confidence_regions,
-)
+from .chisquare import chi_square_cdf, chi_square_quantile
+from .confidence import ConfidenceRegion, confidence_regions
 from .decomposition import (
     LambdaScanResult,
     PairedSVD,
@@ -19,6 +15,7 @@ from .decomposition import (
     origin_distances,
     paired_svd,
     scan_lambda,
+    skew_from_profile,
     skew_matrix,
 )
 from .divergence import (
@@ -109,6 +106,7 @@ __all__ = [
     "run_scan",
     "scan_lambda",
     "serialize_table_csv",
+    "skew_from_profile",
     "skew_matrix",
     "to_probabilities",
     "validate_table",

@@ -120,7 +120,11 @@ def _build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("scan", help="lam grid scan maximizing the dims 1-2 contribution")
     scan.add_argument("table", help="CSV or JSON table file")
     scan.add_argument("--grid", help="lam grid as START:STOP:STEP (default -0.99:3.00:0.01)")
-    scan.add_argument("--metric", choices=("averaged", "identity"))
+    scan.add_argument(
+        "--metric",
+        choices=("averaged", "identity"),
+        help="recorded in the report; contributions do not depend on the metric",
+    )
     add_common(scan, with_analysis_flags=False)
 
     return parser

@@ -18,20 +18,22 @@ plane is fixed by an explicit canonical orientation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .divergence import asymmetry_measure
-from .errors import FullySymmetricError, LambdaOutOfRangeError
+from .divergence import AsymmetryProfile, asymmetry_measure, pair_departures, upper_triangle
+from .errors import DegenerateTableError, FullySymmetricError, LambdaOutOfRangeError
 from .table import ContingencyTable, ProbabilityTable, to_probabilities
 
 METRICS = ("averaged", "identity")
 
 # singular values below this fraction of the largest are structural zeros
 ZERO_SINGULAR_RTOL = 1e-10
+
+# most skew-matrix entries one chunk of the lam scan holds at once
+SCAN_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -139,22 +141,31 @@ def block_rotation_matrix(n_dims: int) -> np.ndarray:
 
 
 def skew_matrix(p: ProbabilityTable, lam: float) -> SkewMatrix:
-    """Signed element-wise square root of the cell departures.
+    """Signed element-wise square root of the cell departures at lam."""
+    return skew_from_profile(p, asymmetry_measure(p, lam))
 
-    Antisymmetry is enforced by construction: the (j, i) entry is defined
-    as the negative of the (i, j) entry, the diagonal as zero.
-    """
-    profile = asymmetry_measure(p, lam)
-    size = p.size
-    s = np.zeros((size, size))
-    for i in range(size):
-        for j in range(i + 1, size):
-            root = math.sqrt(profile.phi_cells[i, j])
-            signed = math.copysign(root, p.p[i, j] - p.p[j, i]) if root else 0.0
-            s[i, j] = signed
-            s[j, i] = -signed
+
+def skew_from_profile(p: ProbabilityTable, profile: AsymmetryProfile) -> SkewMatrix:
+    """The skew matrix of an already computed asymmetry profile."""
+    upper = upper_triangle(p.size)
+    s = _skew_stack(p, upper, profile.phi_cells[upper][None])[0]
     s.setflags(write=False)
     return SkewMatrix(values=s, lam=profile.lam)
+
+
+def _skew_stack(p: ProbabilityTable, upper: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """(L, R, R) skew matrices from (L, P) upper-triangle cell departures.
+
+    The (i, j) entry, i < j, is sign(p_ij - p_ji) sqrt(departure); the
+    (j, i) entry is its negative and the diagonal is zero, so antisymmetry
+    holds by construction.
+    """
+    roots = np.sqrt(cells)
+    roots *= np.sign(p.p[upper] - p.p.T[upper])
+    stack = np.zeros((len(cells), p.size, p.size))
+    stack[:, upper] = roots
+    stack.transpose(0, 2, 1)[:, upper] = np.negative(roots, out=roots)
+    return stack
 
 
 def _canonical_sign(vec: np.ndarray) -> np.ndarray:
@@ -291,35 +302,49 @@ def scan_lambda(
 ) -> LambdaScanResult:
     """Grid search for the lam maximizing the dims 1-2 contribution.
 
-    Evaluates the decomposition at every grid point and reports the first
-    (smallest) lam attaining the maximum summed contribution of the two
-    leading dimensions, together with the full profile in grid order.
+    Reports the first (smallest) lam attaining the maximum summed
+    contribution of the two leading dimensions, together with the full
+    profile in grid order. Contributions are ratios of squared singular
+    values, which no metric changes, so ``metric`` is only validated. The
+    measure kernel runs over a chunk of grid points at a time and one
+    batched eigensolve of i S yields every singular value of the chunk;
+    a chunk holds at most SCAN_CHUNK_CELLS skew-matrix entries.
     """
     pts = default_lambda_grid() if grid is None else np.asarray(list(grid), dtype=float)
     if pts.size == 0:
         raise ValueError("empty lambda grid")
     if np.any(pts <= -1.0):
         raise LambdaOutOfRangeError("grid contains lam <= -1")
+    if metric not in METRICS:
+        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     p = to_probabilities(t)
-    contribs: list[float] = []
-    phis: list[float] = []
-    for lam in pts:
-        dec = decompose(skew_matrix(p, float(lam)), p, metric)
-        if dec.fully_symmetric:
+    if p.delta <= 0.0:
+        raise DegenerateTableError("all mass on the diagonal: asymmetry is undefined")
+    upper = upper_triangle(p.size)
+    a, b = p.p[upper], p.p.T[upper]
+    step = max(1, SCAN_CHUNK_CELLS // p.size**2)
+    contribs = np.empty(pts.size)
+    inertias = np.empty(pts.size)
+    for start in range(0, pts.size, step):
+        chunk = slice(start, start + step)
+        cells = pair_departures(a, b, p.delta, pts[chunk]).cells
+        if not cells.any(axis=1).all():
             raise FullySymmetricError(
                 "fully symmetric table: the contribution profile is undefined at every lam"
             )
-        ratios = contribution_ratios(dec)
-        contribs.append(float(ratios[0] + ratios[1]))
-        phis.append(dec.total_inertia)
+        # eigenvalues ascend: the top half, reversed, are the pair values mu
+        mus = np.linalg.eigvalsh(1j * _skew_stack(p, upper, cells))[:, ::-1][:, : p.size // 2]
+        mus = np.where(mus > ZERO_SINGULAR_RTOL * mus[:, :1], mus, 0.0)
+        inertias[chunk] = 2.0 * np.sum(mus**2, axis=1)
+        ratio = 100.0 * mus[:, 0] ** 2 / inertias[chunk]
+        contribs[chunk] = ratio + ratio
     # ties go to the smaller lam; a small tolerance keeps the rule meaningful
     # when two grid points agree to rounding noise
-    top = max(contribs)
-    best = next(i for i, c in enumerate(contribs) if c >= top - 1e-9)
+    best = int(np.argmax(contribs >= contribs.max() - 1e-9))
     return LambdaScanResult(
         best_lambda=float(pts[best]),
-        best_contribution=contribs[best],
+        best_contribution=float(contribs[best]),
         grid=tuple(float(x) for x in pts),
-        contributions=tuple(contribs),
-        inertias=tuple(phis),
+        contributions=tuple(float(x) for x in contribs),
+        inertias=tuple(float(x) for x in inertias),
     )

@@ -6,6 +6,13 @@ Hellinger, Kullback-Leibler, Cressie-Read, and Pearson forms at
 lam = -1/2, 0, 2/3, 1), its per-cell decomposition, and the chi-square
 calibrated power-divergence test statistic.
 
+Every quantity here depends on a cell (i, j) only through the pair
+(p_ij, p_ji), so all of them are computed over the two vectors that the
+strict upper triangle gathers from the table and its transpose. One
+kernel, ``pair_departures``, evaluates the measure at a whole vector of
+lam values: by the per-cell route and by the divergence definition,
+checked against each other to 1e-12.
+
 Every quantity here is a plug-in functional of the cell probabilities,
 so it is invariant under scaling all counts by a constant.
 """
@@ -17,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .chisquare import chi_square_cdf
 from .errors import (
     ConsistencyError,
     DegenerateTableError,
@@ -84,6 +92,133 @@ def power_divergence_scale(lam: float) -> float:
     return lam * (lam + 1.0) / math.expm1(lam * _LN2)
 
 
+@dataclass(frozen=True)
+class PairDepartures:
+    """The measure over P category pairs at L values of lam.
+
+    ``cells[l, k]`` is the departure carried by each cell of pair k at
+    the l-th lam; ``totals[l]`` is the measure by the per-cell route (twice
+    the row sum of ``cells``), and ``divergence[l]`` the unscaled
+    divergence sum over occupied off-diagonal cells,
+    sum p_ij [(2 p_ij / (p_ij + p_ji))^lam - 1] (sum p_ij ln(...) at lam = 0).
+    """
+
+    cells: np.ndarray = field(repr=False)
+    totals: np.ndarray = field(repr=False)
+    divergence: np.ndarray = field(repr=False)
+
+
+def upper_triangle(size: int) -> np.ndarray:
+    """Mask of the cells (i, j) with i < j, in row-major pair order.
+
+    ``m[mask]`` and ``m.T[mask]`` gather the two cells of every category
+    pair of a square matrix ``m``.
+    """
+    index = np.arange(size)
+    return index[:, None] < index
+
+
+def _overflow(what: str, lams: np.ndarray, finite: np.ndarray) -> LambdaOutOfRangeError:
+    return LambdaOutOfRangeError(
+        f"{what} overflows double precision at lam={float(lams[~finite][0])}"
+    )
+
+
+def _weighted_expm1(
+    lams: np.ndarray, logs: np.ndarray, weights: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """out[l, k] = weights[k] * expm1(lams[l] * logs[k]), computed in place."""
+    np.multiply.outer(lams, logs, out=out)
+    np.expm1(out, out=out)
+    out *= weights
+    return out
+
+
+def pair_departures(a: np.ndarray, b: np.ndarray, delta: float, lams) -> PairDepartures:
+    """Departures of the pairs (a[k], b[k]) at every lam, by both routes.
+
+    The per-cell route gives each cell of pair k the departure
+    (a+b)/(2 delta) [1 - 2^lam/(2^lam - 1) (1 - s1^(1+lam) - s2^(1+lam))]
+    with s1 = a/(a+b), s2 = 1 - s1, written with expm1 so that it stays
+    accurate for lam within a few ulp of the lam = 0 branch point; equal
+    and doubly-empty pairs get exactly 0. The divergence route sums the
+    definition over the occupied cells. The two measures must agree to
+    1e-12; a disagreement is a numerical defect, not a property of data.
+
+    Raises:
+        LambdaOutOfRangeError: some lam <= -1 or non-finite, or the
+            measure overflows double precision there.
+        ConsistencyError: the two routes disagree.
+    """
+    lams = np.asarray(lams, dtype=float).reshape(-1)
+    bad = ~(lams > -1.0) | np.isinf(lams)
+    if bad.any():
+        raise LambdaOutOfRangeError(f"lam must be a finite number > -1, got {lams[bad][0]}")
+    near0 = np.abs(lams) < LAMBDA_ZERO_TOL
+    # the generic formulas run at lam = 1 on near-zero rows, which then take
+    # the analytic lam -> 0 limit instead
+    generic = np.where(near0, 1.0, lams)
+    tot = a + b
+    work = np.empty((lams.size, a.size))
+    # two pair-sized buffers, reused by both routes: a cell's share of its
+    # pair (or twice that) and its log, taken as 0 on empty cells
+    share = np.empty_like(a)
+    logs = np.empty_like(a)
+    with np.errstate(over="ignore"):  # overflow is detected below and raised
+        em = np.expm1(generic * _LN2)  # 2^lam - 1
+        if not np.isfinite(em).all():
+            raise _overflow("measure", lams, np.isfinite(em))
+
+        # divergence route: the ratio 2 p_ij / (p_ij + p_ji) of each occupied cell
+        divergence = np.zeros(lams.size)
+        log_divergence = 0.0
+        for own in (a, b):
+            share.fill(0.5)
+            np.divide(own, tot, out=share, where=own > 0.0)
+            share *= 2.0
+            np.log(share, out=logs)
+            divergence += _weighted_expm1(generic, logs, own, work).sum(axis=1)
+            log_divergence += own @ logs
+
+        # per-cell route: s1 = a / (a + b), then s2 = 1 - s1 in the same buffer,
+        # the exact complement, which keeps 1 - s1 - s2 identically zero
+        share.fill(0.0)
+        np.divide(a, tot, out=share, where=tot > 0.0)
+        cells = np.zeros_like(work)
+        entropy = np.zeros_like(a) if near0.any() else None
+        for _ in ("s1", "s2"):
+            logs.fill(0.0)
+            np.log(share, out=logs, where=share > 0.0)
+            cells += _weighted_expm1(generic, logs, share, work)
+            if entropy is not None:
+                logs *= share
+                entropy += logs
+            np.subtract(1.0, share, out=share)
+    # cells now holds s1^(1+lam) + s2^(1+lam) - 1
+    cells *= (1.0 + 1.0 / em)[:, None]
+    cells += 1.0
+    tot /= 2.0 * delta  # now the prefactor (a + b) / (2 delta)
+    cells *= tot
+    if entropy is not None:
+        cells[near0] = tot * (1.0 + entropy / _LN2)
+        divergence[near0] = log_divergence
+    np.maximum(cells, 0.0, out=cells)
+    cells *= (a != b) & (tot > 0.0)
+    totals = 2.0 * cells.sum(axis=1)
+    other = divergence / delta / np.where(near0, _LN2, em)
+    finite = np.isfinite(totals) & np.isfinite(other)
+    if not finite.all():
+        raise _overflow("measure", lams, finite)
+    gap = np.abs(totals - other)
+    if gap.max() > 1e-12:
+        worst = int(np.argmax(gap))
+        raise ConsistencyError(
+            f"asymmetry measure mismatch between definitions at lam={lams[worst]}: "
+            f"{totals[worst]!r} vs {other[worst]!r}"
+        )
+    return PairDepartures(cells=cells, totals=totals, divergence=divergence)
+
+
 def bowker_statistic(t: ContingencyTable) -> BowkerResult:
     """Chi-square test of the symmetry hypothesis n_ij ~ n_ji.
 
@@ -91,50 +226,18 @@ def bowker_statistic(t: ContingencyTable) -> BowkerResult:
     skipping pairs with no observations in either direction. The degrees
     of freedom are R(R-1)/2 regardless of skipped pairs.
     """
-    from .confidence import chi_square_cdf  # deferred: confidence imports us too
-
-    counts = t.counts
-    size = t.size
-    stat = 0.0
-    for i in range(size):
-        for j in range(i + 1, size):
-            tot = counts[i, j] + counts[j, i]
-            if tot > 0:
-                diff = float(counts[i, j] - counts[j, i])
-                stat += diff * diff / float(tot)
-    dof = size * (size - 1) // 2
+    upper = upper_triangle(t.size)
+    above, below = t.counts[upper].astype(float), t.counts.T[upper].astype(float)
+    tot = above + below
+    squares = (above - below) ** 2
+    stat = float(np.divide(squares, tot, out=np.zeros_like(tot), where=tot > 0.0).sum())
+    dof = t.size * (t.size - 1) // 2
     return BowkerResult(statistic=stat, dof=dof, p_value=1.0 - chi_square_cdf(dof, stat))
 
 
-def _phi_pair(a: float, b: float, delta: float, lam: float) -> float:
-    """Departure of one off-diagonal cell whose opposing cell holds b.
-
-    Symmetric in (a, b) by construction. Equal or doubly-empty pairs return
-    exactly 0. Uses expm1 throughout so the value stays accurate for lam
-    arbitrarily close to the lam = 0 branch point.
-    """
-    if a == b or a + b == 0.0:
-        return 0.0
-    prefactor = (a + b) / (2.0 * delta)
-    s1 = a / (a + b)
-    s2 = 1.0 - s1  # exact complement: keeps 1 - s1 - s2 identically zero below
-    if abs(lam) < LAMBDA_ZERO_TOL:
-        ent = 0.0
-        for s in (s1, s2):
-            if s > 0.0:
-                ent += s * math.log(s)
-        return max(prefactor * (1.0 + ent / _LN2), 0.0)
-    # 1 - s1^(1+lam) - s2^(1+lam) via expm1, so the value stays fully
-    # accurate even when lam is within a few ulp of the branch point
-    tail = 0.0
-    for s in (s1, s2):
-        if s > 0.0:
-            tail -= s * math.expm1(lam * math.log(s))
-    em = math.expm1(lam * _LN2)  # 2^lam - 1
-    # (1 + em)/em written as 1 + 1/em so an overflowed em degrades to the
-    # correct large-lam limit instead of inf/inf
-    bracket = 1.0 - (1.0 + 1.0 / em) * tail
-    return max(prefactor * bracket, 0.0)
+def _require_off_diagonal(p: ProbabilityTable) -> None:
+    if p.delta <= 0.0:
+        raise DegenerateTableError("all mass on the diagonal: asymmetry is undefined")
 
 
 def cell_departure(p: ProbabilityTable, lam: float, i: int, j: int) -> float:
@@ -146,87 +249,43 @@ def cell_departure(p: ProbabilityTable, lam: float, i: int, j: int) -> float:
     lam = require_lambda(lam)
     if i == j:
         raise DiagonalCellError(f"cell ({i}, {i}) is on the diagonal")
-    if p.delta <= 0.0:
-        raise DegenerateTableError("all mass on the diagonal: asymmetry is undefined")
+    _require_off_diagonal(p)
     lo, hi = (i, j) if i < j else (j, i)
-    return _phi_pair(float(p.p[lo, hi]), float(p.p[hi, lo]), p.delta, lam)
-
-
-def _phi_by_divergence_form(p: ProbabilityTable, lam: float) -> float:
-    """The measure computed from its divergence definition.
-
-    Independent of the per-cell route: sums p*_ij [(p*_ij/p^s_ij)^lam - 1]
-    over occupied off-diagonal cells and rescales, where p* is the
-    off-diagonal-normalized table and p^s its symmetrized version. The
-    ratio reduces to 2 p_ij / (p_ij + p_ji).
-    """
-    mat = p.p
-    size = p.size
-    tot = 0.0
-    for i in range(size):
-        for j in range(size):
-            if i == j or mat[i, j] == 0.0:
-                continue
-            ratio = 2.0 * mat[i, j] / (mat[i, j] + mat[j, i])
-            star = mat[i, j] / p.delta
-            if abs(lam) < LAMBDA_ZERO_TOL:
-                tot += star * math.log(ratio)
-            else:
-                tot += star * math.expm1(lam * math.log(ratio))
-    if abs(lam) < LAMBDA_ZERO_TOL:
-        return tot / _LN2
-    return tot / math.expm1(lam * _LN2)
+    pair = pair_departures(p.p[[lo], [hi]], p.p[[hi], [lo]], p.delta, lam)
+    return float(pair.cells[0, 0])
 
 
 def asymmetry_measure(p: ProbabilityTable, lam: float) -> AsymmetryProfile:
     """The [0,1] asymmetry measure with its per-cell decomposition.
 
-    Computes the measure both as the sum of per-cell departures and from
-    the divergence definition, and insists the two agree to 1e-12; a
-    disagreement means a numerical defect, not a property of the data.
+    Both of the measure's routes run in ``pair_departures``, which insists
+    they agree to 1e-12.
 
     Raises:
-        LambdaOutOfRangeError: lam <= -1.
+        LambdaOutOfRangeError: lam <= -1, or the measure overflows.
         DegenerateTableError: every observation is on the diagonal.
     """
     lam = require_lambda(lam)
-    if p.delta <= 0.0:
-        raise DegenerateTableError("all mass on the diagonal: asymmetry is undefined")
-    size = p.size
-    cells = np.zeros((size, size))
-    zero_pairs: list[tuple[int, int]] = []
-    total = 0.0
-    try:
-        for i in range(size):
-            for j in range(i + 1, size):
-                a, b = float(p.p[i, j]), float(p.p[j, i])
-                if a + b == 0.0:
-                    zero_pairs.append((i, j))
-                    continue
-                phi = _phi_pair(a, b, p.delta, lam)
-                cells[i, j] = cells[j, i] = phi
-                total += 2.0 * phi
-        other = _phi_by_divergence_form(p, lam)
-    except OverflowError as exc:
-        raise LambdaOutOfRangeError(
-            f"measure overflows double precision at lam={lam}"
-        ) from exc
-    if not (math.isfinite(total) and math.isfinite(other)):
-        raise LambdaOutOfRangeError(
-            f"measure overflows double precision at lam={lam}"
-        )
-    if abs(total - other) > 1e-12:
-        raise ConsistencyError(
-            f"asymmetry measure mismatch between definitions: {total!r} vs {other!r}"
-        )
-    total = min(total, 1.0)  # guard the upper bound against accumulated rounding
+    _require_off_diagonal(p)
+    upper = upper_triangle(p.size)
+    a, b = p.p[upper], p.p.T[upper]
+    pairs = pair_departures(a, b, p.delta, lam)
+    cells = np.zeros((p.size, p.size))
+    cells[upper] = pairs.cells[0]
+    cells.T[upper] = pairs.cells[0]
     cells.setflags(write=False)
+    zero_pairs: tuple[tuple[int, int], ...] = ()
+    empty = np.flatnonzero(a + b == 0.0)
+    if empty.size:
+        rows, cols = np.nonzero(upper)
+        zero_pairs = tuple(zip(rows[empty].tolist(), cols[empty].tolist()))
     return AsymmetryProfile(
         lam=lam,
         delta=p.delta,
-        phi_total=total,
+        # guard the upper bound against accumulated rounding
+        phi_total=min(float(pairs.totals[0]), 1.0),
         phi_cells=cells,
-        zero_pair_cells=tuple(zero_pairs),
+        zero_pair_cells=zero_pairs,
     )
 
 
@@ -241,33 +300,16 @@ def power_divergence_statistic(t: ContingencyTable, lam: float) -> float:
     """
     lam = require_lambda(lam)
     p = to_probabilities(t)
-    if p.delta <= 0.0:
-        raise DegenerateTableError("all mass on the diagonal: asymmetry is undefined")
-    mat = p.p
-    size = p.size
-    acc = 0.0
-    try:
-        for i in range(size):
-            for j in range(size):
-                if i == j or mat[i, j] == 0.0:
-                    continue
-                ratio = 2.0 * mat[i, j] / (mat[i, j] + mat[j, i])
-                if abs(lam) < LAMBDA_ZERO_TOL:
-                    acc += mat[i, j] * math.log(ratio)
-                else:
-                    acc += mat[i, j] * math.expm1(lam * math.log(ratio))
-    except OverflowError as exc:
-        raise LambdaOutOfRangeError(
-            f"statistic overflows double precision at lam={lam}"
-        ) from exc
-    if abs(lam) < LAMBDA_ZERO_TOL:
-        stat = 2.0 * t.n * acc
-    else:
-        stat = 2.0 * t.n * acc / (lam * (lam + 1.0))
+    _require_off_diagonal(p)
+    upper = upper_triangle(p.size)
+    pairs = pair_departures(p.p[upper], p.p.T[upper], p.delta, lam)
+    stat = 2.0 * t.n * float(pairs.divergence[0])
+    if abs(lam) >= LAMBDA_ZERO_TOL:
+        stat /= lam * (lam + 1.0)
     if not math.isfinite(stat):
         raise LambdaOutOfRangeError(f"statistic overflows double precision at lam={lam}")
-    profile = asymmetry_measure(p, lam)
-    via_measure = 2.0 * t.n * p.delta * profile.phi_total / power_divergence_scale(lam)
+    phi_total = min(float(pairs.totals[0]), 1.0)
+    via_measure = 2.0 * t.n * p.delta * phi_total / power_divergence_scale(lam)
     if abs(stat - via_measure) > 1e-10 * max(1.0, abs(stat)):
         raise ConsistencyError(
             f"power-divergence statistic mismatch: {stat!r} vs {via_measure!r}"

@@ -47,7 +47,6 @@ class MatchedAnalysis:
     skew_second: SkewMatrix
     s_plus: np.ndarray = field(repr=False)
     s_minus: np.ndarray = field(repr=False)
-    block: np.ndarray = field(repr=False)
     svd_plus: PairedSVD = field(repr=False)
     svd_minus: PairedSVD = field(repr=False)
     block_svd: PairedSVD = field(repr=False)
@@ -57,6 +56,12 @@ class MatchedAnalysis:
     @property
     def size(self) -> int:
         return len(self.labels)
+
+    @property
+    def block(self) -> np.ndarray:
+        """The 2R x 2R block matrix [[S1, S2], [S2, S1]] that ``block_svd`` factorizes."""
+        s1, s2 = self.skew_first.values, self.skew_second.values
+        return np.block([[s1, s2], [s2, s1]])
 
 
 @dataclass(frozen=True)
@@ -93,7 +98,8 @@ def build_matched(
     Both tables must share the same labels in the same order and both must
     carry off-diagonal mass. The two skew matrices use the same lam. The
     block SVD is assembled from the sum and difference SVDs; the block
-    matrix itself is kept for reference and is never factorized.
+    matrix itself is never built here (``MatchedAnalysis.block`` forms it
+    on demand).
     """
     if t1.size != t2.size:
         raise DimensionMismatchError(f"table sizes differ: {t1.size} vs {t2.size}")
@@ -109,7 +115,6 @@ def build_matched(
     s1, s2 = sk1.values, sk2.values
     s_plus = s1 + s2
     s_minus = s1 - s2
-    block = np.block([[s1, s2], [s2, s1]])
     svd_plus = paired_svd(s_plus)
     svd_minus = paired_svd(s_minus)
     size = t1.size
@@ -133,7 +138,7 @@ def build_matched(
         for i in order
     )
     pooled = to_probabilities(validate_table(t1.labels, t1.counts + t2.counts))
-    for arr in (s_plus, s_minus, block, block_svd.left_vectors, block_svd.singular_values):
+    for arr in (s_plus, s_minus, block_svd.left_vectors, block_svd.singular_values):
         arr.setflags(write=False)
     return MatchedAnalysis(
         labels=t1.labels,
@@ -142,7 +147,6 @@ def build_matched(
         skew_second=sk2,
         s_plus=s_plus,
         s_minus=s_minus,
-        block=block,
         svd_plus=svd_plus,
         svd_minus=svd_minus,
         block_svd=block_svd,

@@ -16,7 +16,8 @@ from .decomposition import (
     SymmetryDecomposition,
     decompose,
     origin_distances,
-    skew_matrix,
+    scan_lambda,
+    skew_from_profile,
 )
 from .divergence import NAMED_DIVERGENCES, asymmetry_measure, bowker_statistic, require_lambda
 from .errors import DimensionOutOfRangeError, InputError
@@ -288,7 +289,7 @@ def run_analyze(config: AnalysisConfig, table: ContingencyTable) -> AnalysisRepo
     bowker = bowker_statistic(table)
     p = to_probabilities(table)
     profile = asymmetry_measure(p, config.lam)
-    dec = decompose(skew_matrix(p, config.lam), p, config.metric)
+    dec = decompose(skew_from_profile(p, profile), p, config.metric)
     row_dist, col_dist = origin_distances(dec)
 
     for i, j in profile.zero_pair_cells:
@@ -458,8 +459,6 @@ def run_scan(
     grid=None,
 ) -> AnalysisReport:
     """Report of the lam grid scan maximizing the dims 1-2 contribution."""
-    from .decomposition import scan_lambda
-
     result = scan_lambda(table, grid, config.metric)
     return AnalysisReport(
         command="scan",

@@ -27,7 +27,8 @@ from conftest import (
     symmetrized,
 )
 from skewca.cli import main
-from skewca.confidence import chi_square_cdf, chi_square_quantile, confidence_regions
+from skewca.chisquare import chi_square_cdf, chi_square_quantile
+from skewca.confidence import confidence_regions
 from skewca.decomposition import decompose, origin_distances, skew_matrix
 from skewca.divergence import (
     asymmetry_measure,

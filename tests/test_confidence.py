@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from skewca.confidence import (
-    chi_square_cdf,
-    chi_square_quantile,
-    confidence_regions,
-    regularized_gamma_p,
-)
+from skewca.chisquare import chi_square_cdf, chi_square_quantile, regularized_gamma_p
+from skewca.confidence import confidence_regions
 from skewca.decomposition import decompose, skew_matrix
 from skewca.divergence import asymmetry_measure
 from skewca.errors import (

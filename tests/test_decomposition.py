@@ -11,6 +11,7 @@ from conftest import (
     random_table,
     symmetrized,
 )
+from skewca import decomposition
 from skewca.decomposition import (
     block_rotation_matrix,
     contribution_ratios,
@@ -20,9 +21,11 @@ from skewca.decomposition import (
     origin_distances,
     paired_svd,
     scan_lambda,
+    skew_from_profile,
     skew_matrix,
 )
-from skewca.errors import FullySymmetricError, LambdaOutOfRangeError
+from skewca.divergence import asymmetry_measure
+from skewca.errors import DegenerateTableError, FullySymmetricError, LambdaOutOfRangeError
 from skewca.table import to_probabilities, validate_table
 
 
@@ -51,6 +54,19 @@ def test_2x2_signed_root():
     assert s.values[1, 0] == -s.values[0, 1]
     flipped = skew_matrix(to_probabilities(table22(1, 3)), 1.0)
     assert flipped.values[0, 1] == pytest.approx(-math.sqrt(0.125), abs=1e-15)
+
+
+def test_skew_from_profile_equals_skew_matrix(coffee, rng):
+    tables = [coffee, validate_table(["a", "b", "c"], [[0, 3, 0], [1, 0, 0], [0, 0, 0]])]
+    tables += [random_table(rng, int(rng.integers(2, 8))) for _ in range(10)]
+    for t in tables:
+        p = to_probabilities(t)
+        for lam in (-0.5, 0.0, 1.0):
+            via_profile = skew_from_profile(p, asymmetry_measure(p, lam))
+            direct = skew_matrix(p, lam)
+            assert np.array_equal(via_profile.values, direct.values)
+            assert via_profile.lam == direct.lam
+            assert not via_profile.values.flags.writeable
 
 
 def test_skew_matches_oracle_and_reconstructs_measure(coffee, rng):
@@ -373,3 +389,67 @@ def test_scan_rejects_bad_grid(coffee):
         scan_lambda(coffee, grid=[-1.5, 0.0])
     with pytest.raises(ValueError):
         scan_lambda(coffee, grid=[])
+
+
+def per_point_scan(t, grid, metric="averaged"):
+    """Contributions and inertias from a full decomposition at every grid point."""
+    p = to_probabilities(t)
+    contribs, inertias = [], []
+    for lam in grid:
+        dec = decompose(skew_matrix(p, float(lam)), p, metric)
+        ratios = contribution_ratios(dec)
+        contribs.append(float(ratios[0] + ratios[1]))
+        inertias.append(dec.total_inertia)
+    return np.array(contribs), np.array(inertias)
+
+
+def assert_scan_matches_per_point(result, t, grid):
+    contribs, inertias = per_point_scan(t, grid)
+    assert np.abs(np.array(result.contributions) - contribs).max() <= 1e-12 * 100.0
+    assert np.abs(np.array(result.inertias) - inertias).max() <= 1e-12
+    best = int(np.argmax(contribs >= contribs.max() - 1e-9))
+    assert result.best_lambda == float(grid[best])
+
+
+def test_batched_scan_matches_per_point_decompose(coffee, opinions, rng):
+    grid = default_lambda_grid()
+    for t in (coffee, *opinions):
+        assert_scan_matches_per_point(scan_lambda(t), t, grid)
+    sparse = validate_table(["a", "b", "c", "d", "e"], [[0, 3, 0, 1, 0], [1, 0, 0, 2, 2],
+                                                         [0, 0, 4, 0, 0], [5, 2, 0, 0, 1],
+                                                         [0, 0, 0, 7, 0]])
+    tables = [sparse] + [random_table(rng, int(rng.integers(2, 10))) for _ in range(8)]
+    small_grid = np.concatenate((grid[::37], [-1e-11, 1e-11, 1e-9]))
+    for t in tables:
+        if not np.any(t.counts != t.counts.T):
+            continue
+        assert_scan_matches_per_point(scan_lambda(t, small_grid), t, small_grid)
+
+
+def test_scan_grid_spanning_several_chunks(coffee, monkeypatch):
+    grid = np.linspace(-0.9, 2.5, 23)
+    whole = scan_lambda(coffee, grid)
+    # three grid points per chunk: eight chunks, the last one partial
+    monkeypatch.setattr(decomposition, "SCAN_CHUNK_CELLS", 3 * coffee.size**2 + 1)
+    chunked = scan_lambda(coffee, grid)
+    assert chunked == whole
+    assert_scan_matches_per_point(chunked, coffee, grid)
+    # a budget smaller than one skew matrix still moves one grid point per chunk
+    monkeypatch.setattr(decomposition, "SCAN_CHUNK_CELLS", 1)
+    assert scan_lambda(coffee, grid) == whole
+
+
+def test_scan_contributions_ignore_the_metric(coffee):
+    grid = [-0.5, 0.0, 1.0]
+    assert scan_lambda(coffee, grid, "identity") == scan_lambda(coffee, grid, "averaged")
+    with pytest.raises(ValueError):
+        scan_lambda(coffee, grid, "euclidean")
+
+
+def test_scan_errors_on_degenerate_and_overflowing_input(coffee):
+    with pytest.raises(DegenerateTableError):
+        scan_lambda(validate_table(["a", "b"], [[4, 0], [0, 3]]), grid=[1.0])
+    with pytest.raises(LambdaOutOfRangeError):
+        scan_lambda(coffee, grid=[1.0, 2000.0])
+    with pytest.raises(LambdaOutOfRangeError):
+        scan_lambda(coffee, grid=[1.0, float("nan")])

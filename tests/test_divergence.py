@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,11 +16,14 @@ from conftest import (
     symmetrized,
 )
 from skewca.divergence import (
+    LAMBDA_ZERO_TOL,
     asymmetry_measure,
     bowker_statistic,
     cell_departure,
+    pair_departures,
     power_divergence_scale,
     power_divergence_statistic,
+    upper_triangle,
 )
 from skewca.errors import (
     DegenerateTableError,
@@ -273,3 +277,151 @@ def test_extreme_lambda_overflow_is_a_clean_error():
         asymmetry_measure(p, 5000.0)
     with pytest.raises(LambdaOutOfRangeError):
         power_divergence_statistic(t, 5000.0)
+
+
+# ------------------------------------------------------ the measure kernel
+
+LN2 = math.log(2.0)
+
+# lam = 0, the band around the branch point, and ordinary values
+KERNEL_LAMBDAS = (
+    0.0, 1e-11, -1e-11, 1e-9, -1e-9,
+    LAMBDA_ZERO_TOL, -LAMBDA_ZERO_TOL,
+    math.nextafter(LAMBDA_ZERO_TOL, 0.0), math.nextafter(LAMBDA_ZERO_TOL, 1.0),
+    0.999 * LAMBDA_ZERO_TOL, 1.001 * LAMBDA_ZERO_TOL, -1.001 * LAMBDA_ZERO_TOL,
+    -0.99, -0.5, 2.0 / 3.0, 1.0, 3.0, 40.0,
+)
+
+# (a, b) pairs: ordinary, one-sided both ways, empty, equal, lopsided
+KERNEL_PAIRS = (
+    (3.0, 1.0), (1.0, 3.0), (5.0, 0.0), (0.0, 2.0), (0.0, 0.0), (4.0, 4.0), (1.0, 999.0),
+)
+
+
+def scalar_pair(a: float, b: float, delta: float, lam: float) -> float:
+    """One pair's per-cell departure, one scalar at a time with the math module."""
+    if a == b or a + b == 0.0:
+        return 0.0
+    prefactor = (a + b) / (2.0 * delta)
+    s1 = a / (a + b)
+    s2 = 1.0 - s1
+    if abs(lam) < LAMBDA_ZERO_TOL:
+        ent = sum(s * math.log(s) for s in (s1, s2) if s > 0.0)
+        return max(prefactor * (1.0 + ent / LN2), 0.0)
+    tail = -sum(s * math.expm1(lam * math.log(s)) for s in (s1, s2) if s > 0.0)
+    return max(prefactor * (1.0 - (1.0 + 1.0 / math.expm1(lam * LN2)) * tail), 0.0)
+
+
+def kernel_inputs():
+    a = np.array([x for x, _ in KERNEL_PAIRS]) / 1024.0
+    b = np.array([y for _, y in KERNEL_PAIRS]) / 1024.0
+    return a, b, float((a + b).sum())
+
+
+def test_kernel_matches_scalar_oracle():
+    a, b, delta = kernel_inputs()
+    result = pair_departures(a, b, delta, KERNEL_LAMBDAS)
+    assert result.cells.shape == (len(KERNEL_LAMBDAS), len(KERNEL_PAIRS))
+    for row, lam in enumerate(KERNEL_LAMBDAS):
+        for k, (x, y) in enumerate(zip(a, b)):
+            expected = scalar_pair(float(x), float(y), delta, lam)
+            assert result.cells[row, k] == pytest.approx(expected, rel=1e-14, abs=1e-17)
+        assert result.totals[row] == pytest.approx(2.0 * result.cells[row].sum(), abs=1e-15)
+
+
+def test_kernel_closed_forms_at_zero_and_one():
+    a, b, delta = kernel_inputs()
+    result = pair_departures(a, b, delta, [0.0, 1.0])
+    for k, (x, y) in enumerate(zip(a, b)):
+        x, y = float(x), float(y)
+        # Pearson: (a - b)^2 / (2 delta (a + b)); KL: prefactor times 1 - binary entropy in bits
+        pearson = 0.0 if x + y == 0.0 else (x - y) ** 2 / (2.0 * delta * (x + y))
+        kl = 0.0
+        if x + y > 0.0:
+            bits = -sum(s * math.log2(s) for s in (x / (x + y), y / (x + y)) if s > 0.0)
+            kl = (x + y) / (2.0 * delta) * (1.0 - bits)
+        assert result.cells[0, k] == pytest.approx(kl, abs=1e-16)
+        assert result.cells[1, k] == pytest.approx(pearson, abs=1e-16)
+
+
+def test_kernel_special_pairs():
+    a, b, delta = kernel_inputs()
+    result = pair_departures(a, b, delta, KERNEL_LAMBDAS)
+    empty, equal = KERNEL_PAIRS.index((0.0, 0.0)), KERNEL_PAIRS.index((4.0, 4.0))
+    assert np.all(result.cells[:, [empty, equal]] == 0.0)
+    # a one-sided pair departs completely: its two cells carry its whole mass share
+    for k in (KERNEL_PAIRS.index((5.0, 0.0)), KERNEL_PAIRS.index((0.0, 2.0))):
+        share = float(a[k] + b[k]) / (2.0 * delta)
+        assert np.allclose(result.cells[:, k], share, rtol=1e-13, atol=0.0)
+    # a lone one-sided table measures exactly one at every lam
+    lone = pair_departures(np.array([0.25]), np.array([0.0]), 0.25, KERNEL_LAMBDAS)
+    assert np.allclose(lone.totals, 1.0, rtol=0.0, atol=1e-15)
+
+
+def test_kernel_is_continuous_across_the_branch_point():
+    a, b, delta = kernel_inputs()
+    lams = sorted(KERNEL_LAMBDAS[:12])
+    totals = pair_departures(a, b, delta, lams).totals
+    # within |lam| <= 1e-9 the measure moves by O(1e-9), the limit branch included;
+    # a defect at the branch switch would jump by far more
+    assert np.ptp(totals) < 1e-9
+
+
+def test_kernel_batch_equals_single_calls(rng):
+    for _ in range(10):
+        p = to_probabilities(random_table(rng, int(rng.integers(2, 9))))
+        upper = upper_triangle(p.size)
+        a, b = p.p[upper], p.p.T[upper]
+        lams = np.concatenate((KERNEL_LAMBDAS, rng.uniform(-0.95, 4.0, size=5)))
+        batch = pair_departures(a, b, p.delta, lams)
+        for row, lam in enumerate(lams):
+            single = pair_departures(a, b, p.delta, lam)
+            assert np.array_equal(batch.cells[row], single.cells[0])
+            assert batch.totals[row] == single.totals[0]
+            assert batch.divergence[row] == single.divergence[0]
+
+
+def test_kernel_overflow_raises_without_warning():
+    a, b, delta = kernel_inputs()
+    nearly_equal = np.array([0.5]), np.array([0.49])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pair in ((a, b, delta), (*nearly_equal, 0.99)):
+            with pytest.raises(LambdaOutOfRangeError, match="overflows"):
+                pair_departures(*pair, 2000.0)
+            with pytest.raises(LambdaOutOfRangeError, match="overflows"):
+                pair_departures(*pair, [1.0, 2000.0])
+        # ratios never exceed 2, so below the overflow of 2^lam everything is finite
+        finite = pair_departures(a, b, delta, [0.5, 1000.0])
+        assert np.all((finite.totals >= 0.0) & (finite.totals <= 1.0 + 1e-12))
+        with pytest.raises(LambdaOutOfRangeError, match="lam=2000.0"):
+            pair_departures(a, b, delta, [0.5, 1000.0, 2000.0])
+        p = to_probabilities(validate_table(["a", "b", "c"], [[0, 5, 2], [1, 0, 3], [4, 1, 0]]))
+        with pytest.raises(LambdaOutOfRangeError):
+            asymmetry_measure(p, 2000.0)
+        with pytest.raises(LambdaOutOfRangeError):
+            cell_departure(p, 2000.0, 0, 1)
+
+
+def test_kernel_rejects_bad_lambdas():
+    a, b, delta = kernel_inputs()
+    for bad in ([0.5, -1.0], [float("nan")], [float("inf")], -3.0):
+        with pytest.raises(LambdaOutOfRangeError):
+            pair_departures(a, b, delta, bad)
+
+
+def test_measure_matches_kernel_cells(coffee):
+    p = to_probabilities(coffee)
+    upper = upper_triangle(p.size)
+    for lam in KERNEL_LAMBDAS:
+        profile = asymmetry_measure(p, lam)
+        kernel = pair_departures(p.p[upper], p.p.T[upper], p.delta, lam)
+        assert np.array_equal(profile.phi_cells[upper], kernel.cells[0])
+        assert np.array_equal(profile.phi_cells.T[upper], kernel.cells[0])
+        assert profile.phi_total == min(float(kernel.totals[0]), 1.0)
+        for i in range(p.size):
+            for j in range(p.size):
+                if i != j:
+                    assert cell_departure(p, lam, i, j) == pytest.approx(
+                        profile.phi_cells[i, j], rel=1e-15, abs=1e-18
+                    )

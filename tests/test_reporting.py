@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from skewca import decomposition, divergence, reporting
 from skewca.errors import DegenerateTableError, DimensionOutOfRangeError, InputError
 from skewca.reporting import (
     AnalysisConfig,
@@ -34,6 +35,22 @@ def test_analyze_coffee_regions_exclude_origin(coffee):
     assert all(not r["contains_origin"] for r in report.regions)
     assert report.bowker["dof"] == 10
     assert report.table["n"] == 541
+
+
+def test_analyze_computes_the_measure_once(coffee, monkeypatch):
+    calls = []
+
+    def counted(p, lam):
+        calls.append(lam)
+        return divergence.asymmetry_measure(p, lam)
+
+    for module in (reporting, decomposition):
+        monkeypatch.setattr(module, "asymmetry_measure", counted)
+    report = run_analyze(AnalysisConfig(lam=0.5), coffee)
+    assert calls == [0.5]
+    assert report.decomposition["total_inertia"] == pytest.approx(
+        report.asymmetry["phi_total"], abs=1e-14
+    )
 
 
 def test_analyze_symmetric_table_warns_and_skips_regions():
