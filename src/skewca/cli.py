@@ -34,6 +34,11 @@ CONFIG_ENV_VAR = "SKEWCA_CONFIG"
 
 _CONFIG_KEYS = ("lambda", "alpha", "metric", "dims", "format", "svg", "axes")
 
+# Largest --grid a scan accepts: 25 times the default 400-point grid. Each point
+# costs one eigensolve of an R x R matrix, so this bounds the time and memory of a
+# scan; a grid with more points exits 2 before any of it is built.
+MAX_GRID_POINTS = 10_000
+
 
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
@@ -74,8 +79,9 @@ def _parse_grid(text: str):
     if step <= 0 or stop < start:
         raise InputError(f"--grid needs step > 0 and stop >= start, got {text!r}")
     span = (stop - start) / step
-    if not math.isfinite(span):
-        raise InputError(f"--grid point count overflows, got {text!r}")
+    # "not <=" also rejects a span that overflowed to infinity
+    if not span <= MAX_GRID_POINTS or round(span) + 1 > MAX_GRID_POINTS:
+        raise InputError(f"--grid holds more than {MAX_GRID_POINTS} points, got {text!r}")
     count = int(round(span)) + 1
     return [round(start + k * step, 12) for k in range(count)]
 

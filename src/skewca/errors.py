@@ -39,6 +39,10 @@ class LabelCountMismatchError(InputError):
     pass
 
 
+class CountOverflowError(InputError):
+    """A count or the table total does not fit in a 64-bit signed integer."""
+
+
 # divergence / decomposition
 
 class LambdaOutOfRangeError(InputError):

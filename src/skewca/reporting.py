@@ -202,11 +202,11 @@ class AnalysisReport:
 
 
 def _floats(arr) -> list:
-    return [float(x) for x in np.asarray(arr).ravel()]
+    return np.asarray(arr, dtype=float).ravel().tolist()
 
 
 def _matrix(arr) -> list[list[float]]:
-    return [[float(x) for x in row] for row in np.asarray(arr)]
+    return np.asarray(arr, dtype=float).tolist()
 
 
 def _region_dict(region: ConfidenceRegion) -> dict:

@@ -6,6 +6,21 @@ rows, each a row label followed by R non-negative integer counts. Row
 labels must repeat the header labels in the same order. A JSON body with
 the same content ({"labels": [...], "counts": [[...]]}) is accepted as an
 alternative.
+
+A count cell is an optional "+" and decimal digits, with surrounding
+whitespace ignored; any Unicode decimal digits are accepted, and a count
+must fit in a 64-bit signed integer. The parser reads a data row in one of
+two ways with the same result:
+
+- the row path: a canonical row, whose counts joined by "," are plain
+  ASCII digits with an optional "+", no padding and at most 18 digits each
+  (so every value is below 2**63), is checked by one regular expression
+  and converted by one numpy call;
+- the per-cell path: every other row goes cell by cell through
+  ``_cell_to_count``, which names the first offending cell.
+
+Either way the error reported is the first one in row order, and the
+rows are stacked into one int64 array for ``validate_table``.
 """
 
 from __future__ import annotations
@@ -17,27 +32,38 @@ import re
 from pathlib import Path
 from typing import IO
 
+import numpy as np
+
 from .errors import LabelOrderMismatchError, MalformedCsvError
-from .table import ContingencyTable, validate_table
+from .table import INT64_MAX, ContingencyTable, validate_table
 
 _INT_RE = re.compile(r"^[+]?\d+$")
+# the count cells of a canonical row joined by ","; 18 digits keep a value below 2**63
+_CANONICAL_ROW_RE = re.compile(r"\+?[0-9]{1,18}(?:,\+?[0-9]{1,18})*")
 
 
 def _cell_to_count(cell: str, row_label: str, col_label: str) -> int:
     text = cell.strip()
     if not _INT_RE.match(text):
         raise MalformedCsvError(
-            f"cell ({row_label!r}, {col_label!r}) is not a non-negative integer: {cell!r}"
+            f"cell ({row_label!r}, {col_label!r}) is not a non-negative integer: {text!r}"
         )
-    return int(text)
+    value = int(text)
+    if value > INT64_MAX:
+        raise MalformedCsvError(
+            f"cell ({row_label!r}, {col_label!r}) does not fit in a 64-bit count: {text!r}"
+        )
+    return value
 
 
 def parse_table_csv(source: str | IO[str]) -> ContingencyTable:
     """Parse a contingency table from CSV text or a text stream."""
     if isinstance(source, str):
         source = io.StringIO(source)
-    rows = [row for row in csv.reader(source)]
-    rows = [row for row in rows if any(cell.strip() for cell in row)]
+    try:
+        rows = [row for row in csv.reader(source) if any(cell.strip() for cell in row)]
+    except csv.Error as exc:
+        raise MalformedCsvError(f"unreadable CSV: {exc}") from None
     if not rows:
         raise MalformedCsvError("empty input")
     header = [cell.strip() for cell in rows[0]]
@@ -50,22 +76,26 @@ def parse_table_csv(source: str | IO[str]) -> ContingencyTable:
     if len(data_rows) != size:
         raise MalformedCsvError(f"expected {size} data rows, found {len(data_rows)}")
     labels: list[str] = []
-    counts: list[list[int]] = []
+    # rows are stacked at the end rather than written into an R x R buffer made up
+    # front, so a long header over short rows cannot claim memory the input lacks
+    counts: list = []
     for r, row in enumerate(data_rows):
-        cells = [cell.strip() for cell in row]
-        if len(cells) != size + 1:
+        if len(row) != size + 1:
             raise MalformedCsvError(
-                f"row {r + 2} holds {len(cells)} cells, expected label + {size} counts"
+                f"row {r + 2} holds {len(row)} cells, expected label + {size} counts"
             )
-        labels.append(cells[0])
-        counts.append(
-            [_cell_to_count(cells[j + 1], cells[0], header[j]) for j in range(size)]
-        )
+        label = row[0].strip()
+        labels.append(label)
+        text = ",".join(row[1:])
+        if text.count(",") == size - 1 and _CANONICAL_ROW_RE.fullmatch(text):
+            counts.append(np.fromstring(text, dtype=np.int64, sep=","))
+        else:
+            counts.append([_cell_to_count(row[j + 1], label, header[j]) for j in range(size)])
     if labels != header:
         raise LabelOrderMismatchError(
             f"row labels {labels} do not match column labels {header} in order"
         )
-    return validate_table(labels, counts)
+    return validate_table(labels, np.array(counts, dtype=np.int64))
 
 
 def serialize_table_csv(t: ContingencyTable) -> str:

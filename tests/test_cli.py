@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from skewca import cli
 from skewca.cli import main
+from skewca.errors import InputError
 
 COFFEE_CSV = """,HP,TC,SA,NE,BR
 HP,93,17,44,7,10
@@ -185,6 +187,29 @@ def test_exit_code_2_for_non_finite_grid(capsys, coffee_csv):
         code, _, err = run_cli(capsys, "scan", str(coffee_csv), "--grid", grid)
         assert code == 2, grid
         assert "--grid" in err
+
+
+def test_grid_point_bound(capsys, coffee_csv):
+    # each grid is rejected from its three numbers, before any point is built
+    for grid in ("0:1e300:1e-8", "0:1:0.000001", f"0:{cli.MAX_GRID_POINTS}:1"):
+        with pytest.raises(InputError, match="more than"):
+            cli._parse_grid(grid)
+        code, _, err = run_cli(capsys, "scan", str(coffee_csv), "--grid", grid)
+        assert code == 2, grid
+        assert "--grid" in err
+    assert len(cli._parse_grid(f"0:{cli.MAX_GRID_POINTS - 1}:1")) == cli.MAX_GRID_POINTS
+
+
+def test_exit_code_2_for_count_overflow(capsys, tmp_path):
+    total = tmp_path / "total.csv"
+    total.write_text(",a,b\na,9223372036854775807,9223372036854775807\nb,12,0\n")
+    cell = tmp_path / "cell.json"
+    cell.write_text('{"labels": ["a", "b"], "counts": [[1, 99999999999999999999], [3, 4]]}')
+    for path in (total, cell):
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 2, err
+        assert out == ""
+        assert "int64" in err
 
 
 def test_error_text_names_offending_cell(capsys, tmp_path):

@@ -4,13 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewca.errors import (
+    CountOverflowError,
     DuplicateLabelError,
     EmptyTableError,
     LabelCountMismatchError,
     NegativeEntryError,
     NonSquareError,
 )
-from skewca.table import to_probabilities, validate_table
+from skewca.table import INT64_MAX, to_probabilities, validate_table
 
 
 def test_basic_table():
@@ -35,6 +36,8 @@ def test_non_square():
         validate_table(["a", "b"], [[1, 2, 3], [4, 5, 6]])
     with pytest.raises(NonSquareError):
         validate_table(["a"], [[1]])
+    with pytest.raises(NonSquareError):  # ragged rows
+        validate_table(["a", "b"], [[1, 2], [3]])
 
 
 def test_empty_table():
@@ -55,6 +58,8 @@ def test_label_count_mismatch():
 def test_float_counts_rejected():
     with pytest.raises(TypeError):
         validate_table(["a", "b"], [[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(TypeError):
+        validate_table(["a", "b"], [[True, False], [False, True]])
 
 
 def test_counts_immutable():
@@ -122,3 +127,41 @@ def test_count_scaling_leaves_probabilities(t, k):
     p2 = to_probabilities(t.scaled(k))
     assert np.all(np.abs(p1.p - p2.p) <= 1e-14)
     assert abs(p1.delta - p2.delta) <= 1e-14
+
+
+def test_count_beyond_int64_is_rejected():
+    # numpy holds 2**63 as uint64 in an array, as float64 from a list and
+    # 10**20 as object; each is an input error naming the cell, never a wrap
+    with pytest.raises(CountOverflowError, match=r"cell \(0, 1\)"):
+        validate_table(["a", "b"], np.array([[1, 2**63], [3, 4]], dtype=np.uint64))
+    with pytest.raises(CountOverflowError, match=r"cell \(0, 1\)"):
+        validate_table(["a", "b"], [[1, 2**63], [3, 4]])
+    with pytest.raises(CountOverflowError, match=r"cell \(1, 0\)"):
+        validate_table(["a", "b"], [[1, 2], [10**20, 4]])
+    with pytest.raises(CountOverflowError):
+        validate_table(["a", "b"], np.array([[1, 2], [3, 10**20]], dtype=object))
+    # a negative count is still reported as such next to a huge one
+    with pytest.raises(NegativeEntryError):
+        validate_table(["a", "b"], [[-1, 2**63], [3, 4]])
+
+
+def test_total_beyond_int64_is_rejected():
+    with pytest.raises(CountOverflowError, match="total"):
+        validate_table(["a", "b"], [[0, INT64_MAX], [INT64_MAX, 0]])
+    with pytest.raises(CountOverflowError, match="total"):
+        validate_table(["a", "b"], np.array([[0, INT64_MAX], [1, 0]], dtype=np.int64))
+
+
+def test_total_at_int64_max_is_exact():
+    t = validate_table(["a", "b"], np.array([[0, INT64_MAX - 3], [1, 2]], dtype=np.uint64))
+    assert t.n == INT64_MAX
+    assert t.counts.dtype == np.int64
+    assert t.counts[0, 1] == INT64_MAX - 3
+
+
+def test_scaled_total_beyond_int64_is_rejected():
+    t = validate_table(["a", "b"], [[0, 2**61], [1, 0]])
+    assert t.scaled(3).n == 3 * (2**61 + 1)
+    with pytest.raises(CountOverflowError):
+        t.scaled(4)
+
