@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Run the coffee brand-switching analysis at the four named divergences.
 
-Writes one JSON report and one SVG plot per divergence into out/, plus a
-lam grid scan. Run from the repository root:
+Writes one JSON report and one SVG plot per divergence into out/ at the
+repository root, plus a lam grid scan. Reports record the SVG path
+relative to that root (out/coffee_pearson.svg), so they do not depend on
+where the checkout lives:
 
     python scripts/coffee_analysis.py
 """
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -15,14 +18,16 @@ from skewca import AnalysisConfig, origin_distances, run_analyze, run_scan
 from skewca.datasets import coffee_table
 from skewca.divergence import NAMED_DIVERGENCES
 
-OUT = Path(__file__).resolve().parent.parent / "out"
+ROOT = Path(__file__).resolve().parent.parent
+OUT = Path("out")
 
 
 def main() -> None:
+    """Write the reports into out/ under the current directory."""
     OUT.mkdir(exist_ok=True)
     table = coffee_table()
     for name, lam in sorted(NAMED_DIVERGENCES.items()):
-        config = AnalysisConfig(lam=lam, svg_path=str(OUT / f"coffee_{name}.svg"))
+        config = AnalysisConfig(lam=lam, svg_path=(OUT / f"coffee_{name}.svg").as_posix())
         report = run_analyze(config, table)
         (OUT / f"coffee_{name}.json").write_text(report.to_json(), encoding="utf-8")
         dec = report.decomposition
@@ -43,4 +48,5 @@ def main() -> None:
 
 
 if __name__ == "__main__":
+    os.chdir(ROOT)
     main()

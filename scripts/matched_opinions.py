@@ -3,11 +3,13 @@
 
 The two groups differ five-fold in sample size; the measure-based scaling
 makes their skew matrices directly comparable anyway. Writes the report
-and the two component plots into out/.
+and the two component plots into out/ at the repository root; the report
+records the SVG path relative to that root (out/opinions.svg).
 
     python scripts/matched_opinions.py
 """
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +17,15 @@ import numpy as np
 from skewca import AnalysisConfig, run_matched
 from skewca.datasets import opinion_tables
 
-OUT = Path(__file__).resolve().parent.parent / "out"
+ROOT = Path(__file__).resolve().parent.parent
+OUT = Path("out")
 
 
 def main() -> None:
+    """Write the report and plots into out/ under the current directory."""
     OUT.mkdir(exist_ok=True)
     t1, t2 = opinion_tables()
-    config = AnalysisConfig(lam=1.0, metric="identity", svg_path=str(OUT / "opinions.svg"))
+    config = AnalysisConfig(lam=1.0, metric="identity", svg_path=(OUT / "opinions.svg").as_posix())
     report = run_matched(config, t1, t2)
     (OUT / "opinions_matched.json").write_text(report.to_json(), encoding="utf-8")
 
@@ -40,4 +44,5 @@ def main() -> None:
 
 
 if __name__ == "__main__":
+    os.chdir(ROOT)
     main()

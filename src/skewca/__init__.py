@@ -8,7 +8,6 @@ from .decomposition import (
     SkewMatrix,
     SymmetryDecomposition,
     block_rotation_matrix,
-    contribution_ratios,
     decompose,
     default_lambda_grid,
     metric_weights,
@@ -85,7 +84,6 @@ __all__ = [
     "chi_square_cdf",
     "chi_square_quantile",
     "confidence_regions",
-    "contribution_ratios",
     "decompose",
     "default_lambda_grid",
     "load_table",

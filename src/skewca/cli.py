@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .decomposition import default_lambda_grid
-from .errors import AnalysisError, InputError, SkewcaError
+from .errors import AnalysisError, InputError, InvalidAlphaError, SkewcaError
 from .reporting import (
     AnalysisConfig,
     AnalysisReport,
@@ -64,6 +64,16 @@ def _parse_dims(text: str) -> tuple[int, int]:
         return int(parts[0]), int(parts[1])
     except ValueError:
         raise InputError(f"--dims expects integers, got {text!r}") from None
+
+
+def _parse_alpha(value: str | float) -> float:
+    try:
+        alpha = float(value)
+    except ValueError:
+        raise InvalidAlphaError(f"alpha must be a number, got {value!r}") from None
+    if not 0.0 < alpha < 1.0:
+        raise InvalidAlphaError(f"alpha must be in (0, 1), got {alpha}")
+    return alpha
 
 
 def _parse_grid(text: str):
@@ -152,7 +162,7 @@ def _build_config(args: argparse.Namespace) -> AnalysisConfig:
     lam_text = _setting(args, file_values, "lam", "lambda")
     lam = resolve_lambda(lam_text) if lam_text is not None else 1.0
     alpha_raw = _setting(args, file_values, "alpha", "alpha")
-    alpha = float(alpha_raw) if alpha_raw is not None else 0.05
+    alpha = _parse_alpha(alpha_raw) if alpha_raw is not None else 0.05
     metric = _setting(args, file_values, "metric", "metric")
     if metric is None:
         metric = "identity" if args.command == "matched" else "averaged"

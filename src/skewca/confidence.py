@@ -3,12 +3,26 @@
 A category's confidence circle calibrates its coordinate against the
 chi-square distribution of the power-divergence symmetry statistic: the
 radius shrinks like 1/sqrt(n) while the center does not move with n.
+
+The pair values are exactly equal (mu_1 == mu_2), so every region is a
+circle, and its radius is one table-level scalar times the category's
+distance from the origin in the dims 1-2 plane:
+
+    radius_i = sqrt(q_alpha / T_lam) * ||f_i||,
+
+with q_alpha the upper-alpha chi-square point at R(R-1)/2 degrees of
+freedom and T_lam the power-divergence statistic. It follows from the
+identity T_lam = 2 n delta Phi / c_lam. A circle therefore covers the
+origin exactly when T_lam <= q_alpha, for every category off the origin
+at once: ``contains_origin`` redraws the level-alpha symmetry test, and
+the circles carry no information beyond it and the coordinates.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .chisquare import chi_square_quantile
 from .decomposition import SymmetryDecomposition
@@ -30,8 +44,7 @@ class ConfidenceRegion:
     label: str
     axis: str  # "row" or "column"
     center: tuple[float, float]
-    radius_x: float
-    radius_y: float
+    radius: float
     alpha: float
     contains_origin: bool
 
@@ -45,13 +58,13 @@ def confidence_regions(
     """Confidence circles for every row and column category.
 
     The circle around category i has center (f_i1, f_i2) and radius
-    d_i mu_1 sqrt(chi2_alpha c_lam / (2 n delta Phi) * (a_i1^2 + a_i2^2)),
-    with chi2_alpha the upper-alpha chi-square point at R(R-1)/2 degrees
-    of freedom and c_lam the power-divergence scale. The in-plane mass
-    a_i1^2 + a_i2^2 equals one minus the category's mass on the remaining
-    dimensions of the full orthonormal basis (including the null direction
-    of odd-sized tables, which the retained factors drop). Radii for rows
-    use left vectors, for columns right vectors.
+    d_i mu_1 sqrt(calibration * (a_i1^2 + a_i2^2)), with calibration
+    q_alpha c_lam / (2 n delta Phi) = q_alpha / T_lam. The in-plane mass
+    a_i1^2 + a_i2^2 is the same for the row and the column point, because
+    the right vectors are the left ones with each pair swapped and one
+    column negated, so both axes share one radius per category. A
+    category with no in-plane mass gets radius 0, and its circle covers
+    the origin only if it sits exactly there.
 
     Raises:
         UnsupportedDimensionError: 2x2 table (no dimensions remain beyond
@@ -72,41 +85,23 @@ def confidence_regions(
         )
     if dec.fully_symmetric or dec.total_inertia <= 0.0:
         raise FullySymmetricError("fully symmetric table: confidence regions are undefined")
-    dof = size * (size - 1) // 2
-    quantile = chi_square_quantile(dof, alpha)
+    quantile = chi_square_quantile(size * (size - 1) // 2, alpha)
     scale = power_divergence_scale(profile.lam)
     calibration = quantile * scale / (2.0 * t.n * profile.delta * dec.total_inertia)
-    mu1 = float(dec.singular_values[0])
-    mu2 = float(dec.singular_values[1])
-    regions: list[ConfidenceRegion] = []
-    for axis, vectors, coords in (
-        ("row", dec.left_vectors, dec.row_coords),
-        ("column", dec.right_vectors, dec.col_coords),
-    ):
-        for i in range(size):
-            in_plane = float(vectors[i, 0] ** 2 + vectors[i, 1] ** 2)
-            root = math.sqrt(max(calibration * in_plane, 0.0))
-            rx = float(dec.metric_weights[i]) * mu1 * root
-            ry = float(dec.metric_weights[i]) * mu2 * root
-            fx, fy = float(coords[i, 0]), float(coords[i, 1])
-            regions.append(
-                ConfidenceRegion(
-                    index=i,
-                    label=dec.labels[i],
-                    axis=axis,
-                    center=(fx, fy),
-                    radius_x=float(rx),
-                    radius_y=float(ry),
-                    alpha=float(alpha),
-                    contains_origin=_ellipse_covers(fx, fy, rx, ry, 0.0, 0.0),
-                )
-            )
-    return regions
-
-
-def _ellipse_covers(cx: float, cy: float, rx: float, ry: float, x: float, y: float) -> bool:
-    """Whether the ellipse centered at (cx, cy) with radii (rx, ry) covers (x, y)."""
-    dx, dy = x - cx, y - cy
-    if rx <= 0.0 or ry <= 0.0:
-        return bool(dx == 0.0 and dy == 0.0)
-    return bool((dx / rx) ** 2 + (dy / ry) ** 2 <= 1.0)
+    a = dec.left_vectors
+    radii = dec.metric_weights * float(dec.singular_values[0]) * np.sqrt(
+        calibration * (a[:, 0] ** 2 + a[:, 1] ** 2)
+    )
+    return [
+        ConfidenceRegion(
+            index=i,
+            label=dec.labels[i],
+            axis=axis,
+            center=(cx, cy),
+            radius=r,
+            alpha=float(alpha),
+            contains_origin=(cx / r) ** 2 + (cy / r) ** 2 <= 1.0 if r > 0.0 else cx == cy == 0.0,
+        )
+        for axis, coords in (("row", dec.row_coords), ("column", dec.col_coords))
+        for i, ((cx, cy), r) in enumerate(zip(coords[:, :2].tolist(), radii.tolist()))
+    ]

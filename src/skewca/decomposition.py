@@ -271,13 +271,6 @@ def decompose(s: SkewMatrix, p: ProbabilityTable, metric: str = "averaged") -> S
     )
 
 
-def contribution_ratios(dec: SymmetryDecomposition) -> np.ndarray:
-    """Percentage of the total inertia carried by each dimension."""
-    if dec.fully_symmetric or dec.total_inertia <= 0.0:
-        raise FullySymmetricError("zero inertia: contribution ratios are undefined")
-    return dec.contributions
-
-
 def origin_distances(dec: SymmetryDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """Distance of each category's row and column point from the origin.
 

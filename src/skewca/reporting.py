@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -13,7 +13,6 @@ import numpy as np
 
 from .confidence import ConfidenceRegion, confidence_regions
 from .decomposition import (
-    SymmetryDecomposition,
     decompose,
     origin_distances,
     scan_lambda,
@@ -21,7 +20,7 @@ from .decomposition import (
 )
 from .divergence import NAMED_DIVERGENCES, asymmetry_measure, bowker_statistic, require_lambda
 from .errors import DimensionOutOfRangeError, InputError
-from .matched import MatchedCoordinates, build_matched, matched_coordinates
+from .matched import build_matched, matched_coordinates
 from .svg import render_svg_plot
 from .table import ContingencyTable, to_probabilities
 
@@ -86,40 +85,20 @@ class AnalysisReport:
     schema_version: int = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "command": self.command,
-            "table": self.table,
-            "config": self.config,
-            "bowker": self.bowker,
-            "asymmetry": self.asymmetry,
-            "decomposition": self.decomposition,
-            "coordinates": self.coordinates,
-            "regions": self.regions,
-            "matched": self.matched,
-            "scan": self.scan,
-            "warnings": list(self.warnings),
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["warnings"] = list(self.warnings)
+        return data
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisReport":
-        return cls(
-            command=data["command"],
-            table=data["table"],
-            config=data["config"],
-            bowker=data.get("bowker"),
-            asymmetry=data.get("asymmetry"),
-            decomposition=data.get("decomposition"),
-            coordinates=data.get("coordinates"),
-            regions=data.get("regions"),
-            matched=data.get("matched"),
-            scan=data.get("scan"),
-            warnings=list(data.get("warnings", [])),
-            schema_version=data["schema_version"],
-        )
+        """Rebuild a report; a missing section takes its default, the version is required."""
+        values = {f.name: data[f.name] for f in fields(cls) if f.name in data}
+        values["schema_version"] = data["schema_version"]
+        values["warnings"] = list(values.get("warnings", ()))
+        return cls(**values)
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
@@ -216,11 +195,20 @@ def _region_dict(region: ConfidenceRegion) -> dict:
         "axis": region.axis,
         "center_x": region.center[0],
         "center_y": region.center[1],
-        "radius_x": region.radius_x,
-        "radius_y": region.radius_y,
+        "radius_x": region.radius,
+        "radius_y": region.radius,
         "alpha": region.alpha,
         "contains_origin": region.contains_origin,
     }
+
+
+def _table_dict(table: ContingencyTable) -> dict:
+    return {"labels": list(table.labels), "n": table.n, "size": table.size}
+
+
+def _bowker_dict(table: ContingencyTable) -> dict:
+    bowker = bowker_statistic(table)
+    return {"statistic": bowker.statistic, "dof": bowker.dof, "p_value": bowker.p_value}
 
 
 def _config_dict(config: AnalysisConfig) -> dict:
@@ -247,35 +235,39 @@ def check_dims(dims: tuple[int, int], n_dims: int) -> tuple[int, int]:
     return d1, d2
 
 
-def _axis_captions(dims: tuple[int, int], contributions) -> tuple[str, str]:
-    d1, d2 = dims
-    return (
-        f"principal axis {d1} ({float(contributions[d1 - 1]):.2f}%)",
-        f"principal axis {d2} ({float(contributions[d2 - 1]):.2f}%)",
-    )
-
-
-def _decomposition_svg(
-    dec: SymmetryDecomposition,
-    regions: list[ConfidenceRegion] | None,
+def _plot_svg(
+    labels: tuple[str, ...],
+    rows: np.ndarray,
+    cols: np.ndarray,
+    pct,
+    name: str,
     config: AnalysisConfig,
+    regions: list[ConfidenceRegion] | None = None,
 ) -> str:
-    d1, d2 = check_dims(config.dims, dec.n_dims)
-    points: list[tuple[str, float, float]] = []
-    circles: list[tuple[float, float, float]] = []
-    axes = []
-    if config.plot_axes in ("rows", "both"):
-        axes.append(("row", dec.row_coords, ""))
-    if config.plot_axes in ("columns", "both"):
-        axes.append(("column", dec.col_coords, "'"))
-    for axis, coords, suffix in axes:
-        for i, label in enumerate(dec.labels):
-            points.append((label + suffix, float(coords[i, d1 - 1]), float(coords[i, d2 - 1])))
-        if regions and (d1, d2) == (1, 2):
-            for region in regions:
-                if region.axis == axis:
-                    circles.append((region.center[0], region.center[1], region.radius_x))
-    return render_svg_plot(points, circles, _axis_captions((d1, d2), dec.contributions))
+    """Row and/or column points on ``config.dims``, each axis captioned with its share.
+
+    Circles are drawn around the plotted points only on dims 1-2.
+    """
+    d1, d2 = check_dims(config.dims, rows.shape[1])
+    shown = [
+        (axis, coords, suffix)
+        for axis, coords, suffix in (("row", rows, ""), ("column", cols, "'"))
+        if config.plot_axes in (axis + "s", "both")
+    ]
+    points = [
+        (label + suffix, float(coords[i, d1 - 1]), float(coords[i, d2 - 1]))
+        for _, coords, suffix in shown
+        for i, label in enumerate(labels)
+    ]
+    on_plane = regions if regions and (d1, d2) == (1, 2) else ()
+    circles = [
+        (region.center[0], region.center[1], region.radius)
+        for axis, _, _ in shown
+        for region in on_plane
+        if region.axis == axis
+    ]
+    captions = tuple(f"{name} axis {d} ({float(pct[d - 1]):.2f}%)" for d in (d1, d2))
+    return render_svg_plot(points, circles, captions)
 
 
 def run_analyze(config: AnalysisConfig, table: ContingencyTable) -> AnalysisReport:
@@ -286,7 +278,7 @@ def run_analyze(config: AnalysisConfig, table: ContingencyTable) -> AnalysisRepo
     error aborts the whole report.
     """
     warnings: list[str] = []
-    bowker = bowker_statistic(table)
+    bowker = _bowker_dict(table)
     p = to_probabilities(table)
     profile = asymmetry_measure(p, config.lam)
     dec = decompose(skew_from_profile(p, profile), p, config.metric)
@@ -311,13 +303,9 @@ def run_analyze(config: AnalysisConfig, table: ContingencyTable) -> AnalysisRepo
 
     report = AnalysisReport(
         command="analyze",
-        table={"labels": list(table.labels), "n": table.n, "size": table.size},
+        table=_table_dict(table),
         config=_config_dict(config),
-        bowker={
-            "statistic": bowker.statistic,
-            "dof": bowker.dof,
-            "p_value": bowker.p_value,
-        },
+        bowker=bowker,
         asymmetry={
             "lambda": profile.lam,
             "delta": profile.delta,
@@ -345,46 +333,11 @@ def run_analyze(config: AnalysisConfig, table: ContingencyTable) -> AnalysisRepo
         warnings=warnings,
     )
     if config.svg_path:
-        svg = _decomposition_svg(dec, regions, config)
+        svg = _plot_svg(
+            dec.labels, dec.row_coords, dec.col_coords, dec.contributions, "principal", config, regions
+        )
         Path(config.svg_path).write_text(svg, encoding="utf-8")
     return report
-
-
-def _matched_svg_paths(svg_path: str) -> tuple[Path, Path]:
-    base = Path(svg_path)
-    stem = base.stem if base.suffix else base.name
-    return (
-        base.with_name(f"{stem}_sum.svg"),
-        base.with_name(f"{stem}_difference.svg"),
-    )
-
-
-def _component_svg(
-    labels: tuple[str, ...],
-    coords: MatchedCoordinates,
-    component: str,
-    config: AnalysisConfig,
-    total_inertia: float,
-) -> str:
-    rows = getattr(coords, f"{component}_rows")
-    cols = getattr(coords, f"{component}_cols")
-    values = getattr(coords, f"{component}_singular_values")
-    d1, d2 = check_dims(config.dims, rows.shape[1])
-    points = []
-    axes = []
-    if config.plot_axes in ("rows", "both"):
-        axes.append((rows, ""))
-    if config.plot_axes in ("columns", "both"):
-        axes.append((cols, "'"))
-    for coords_mat, suffix in axes:
-        for i, label in enumerate(labels):
-            points.append((label + suffix, float(coords_mat[i, d1 - 1]), float(coords_mat[i, d2 - 1])))
-    pct = [100.0 * float(v) ** 2 / total_inertia for v in values]
-    captions = (
-        f"{component} axis {d1} ({pct[d1 - 1]:.2f}%)",
-        f"{component} axis {d2} ({pct[d2 - 1]:.2f}%)",
-    )
-    return render_svg_plot(points, (), captions)
 
 
 def run_matched(
@@ -425,30 +378,28 @@ def run_matched(
         warnings=[],
     )
     if config.svg_path:
-        sum_path, diff_path = _matched_svg_paths(config.svg_path)
-        sum_path.write_text(
-            _component_svg(analysis.labels, coords, "sum", config, total_inertia),
-            encoding="utf-8",
-        )
-        diff_path.write_text(
-            _component_svg(analysis.labels, coords, "difference", config, total_inertia),
-            encoding="utf-8",
-        )
+        base = Path(config.svg_path)
+        for component in ("sum", "difference"):
+            values = getattr(coords, f"{component}_singular_values")
+            svg = _plot_svg(
+                analysis.labels,
+                getattr(coords, f"{component}_rows"),
+                getattr(coords, f"{component}_cols"),
+                [100.0 * float(v) ** 2 / total_inertia for v in values],
+                component,
+                config,
+            )
+            base.with_name(f"{base.stem}_{component}.svg").write_text(svg, encoding="utf-8")
     return report
 
 
 def run_bowker(config: AnalysisConfig, table: ContingencyTable) -> AnalysisReport:
     """Report holding only the symmetry chi-square test."""
-    bowker = bowker_statistic(table)
     return AnalysisReport(
         command="bowker",
-        table={"labels": list(table.labels), "n": table.n, "size": table.size},
+        table=_table_dict(table),
         config=_config_dict(config),
-        bowker={
-            "statistic": bowker.statistic,
-            "dof": bowker.dof,
-            "p_value": bowker.p_value,
-        },
+        bowker=_bowker_dict(table),
         warnings=[],
     )
 
@@ -462,7 +413,7 @@ def run_scan(
     result = scan_lambda(table, grid, config.metric)
     return AnalysisReport(
         command="scan",
-        table={"labels": list(table.labels), "n": table.n, "size": table.size},
+        table=_table_dict(table),
         config=_config_dict(config),
         scan={
             "best_lambda": result.best_lambda,

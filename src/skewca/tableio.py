@@ -122,7 +122,12 @@ def parse_table_json(text: str) -> ContingencyTable:
         for row in counts
     ):
         raise MalformedCsvError('"counts" must be a matrix of integers')
-    return validate_table([str(x) for x in body["labels"]], counts)
+    labels = body["labels"]
+    if not isinstance(labels, list) or not all(
+        isinstance(x, (str, int, float)) and not isinstance(x, bool) for x in labels
+    ):
+        raise MalformedCsvError('"labels" must be a list of strings or numbers')
+    return validate_table([str(x) for x in labels], counts)
 
 
 def load_table(path: str | Path) -> ContingencyTable:

@@ -195,7 +195,7 @@ def test_criterion_5_sample_size_invariance(coffee, rng):
                 regionsk = confidence_regions(deck, tk, profk, 0.05)
                 for r1, rk in zip(regions1, regionsk):
                     worst_radius = max(
-                        worst_radius, abs(rk.radius_x - r1.radius_x / math.sqrt(k))
+                        worst_radius, abs(rk.radius - r1.radius / math.sqrt(k))
                     )
     ok = worst_inv < 1e-12 and worst_radius < 1e-10
     record_criterion(
@@ -393,7 +393,7 @@ def test_criterion_9_region_coverage():
         det = np.sign(np.linalg.det(u @ vt))
         rot = u @ np.diag([1.0, det]) @ vt
         aligned = centers @ rot
-        radii = np.array([r.radius_x for r in regions])
+        radii = np.array([r.radius for r in regions])
         covered += np.linalg.norm(aligned - target, axis=1) <= radii
         used += 1
     coverage = covered / used

@@ -5,7 +5,7 @@ import pytest
 
 from skewca import cli
 from skewca.cli import main
-from skewca.errors import InputError
+from skewca.errors import InputError, InvalidAlphaError
 
 COFFEE_CSV = """,HP,TC,SA,NE,BR
 HP,93,17,44,7,10
@@ -229,3 +229,39 @@ def test_axes_both_plots_column_points(capsys, coffee_csv, tmp_path):
     body = svg.read_text(encoding="utf-8")
     assert ">HP</text>" in body
     assert ">HP&apos;</text>" in body or ">HP'</text>" in body
+
+
+def test_exit_code_2_for_alpha_outside_unit_interval(capsys, coffee_csv, tmp_path):
+    # checked when the config is built, whether or not circles are drawn
+    sym = tmp_path / "sym.csv"
+    sym.write_text(",a,b,c\na,1,2,3\nb,2,1,4\nc,3,4,1\n", encoding="utf-8")
+    for alpha in ("7", "0", "1", "-0.1", "nan"):
+        for path, extra in ((coffee_csv, ()), (coffee_csv, ("--metric", "identity")), (sym, ())):
+            argv = ["analyze", str(path), "--alpha", alpha, *extra]
+            with pytest.raises(InvalidAlphaError):
+                cli._build_config(cli._build_parser().parse_args(argv))
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert "alpha" in err
+
+
+def test_exit_code_2_for_non_numeric_config_alpha(capsys, coffee_csv, tmp_path):
+    cfg = tmp_path / "alpha.cfg"
+    cfg.write_text("alpha=abc\n", encoding="utf-8")
+    argv = ["analyze", str(coffee_csv), "--config", str(cfg)]
+    with pytest.raises(InvalidAlphaError, match="number"):
+        cli._build_config(cli._build_parser().parse_args(argv))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "alpha" in err
+
+
+def test_exit_code_2_for_json_labels_not_a_list(capsys, tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text('{"labels": 5, "counts": [[1, 2], [3, 4]]}', encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert '"labels"' in err

@@ -7,7 +7,11 @@ from scipy import integrate, special
 from skewca.chisquare import chi_square_cdf, chi_square_quantile, regularized_gamma_p
 from skewca.confidence import confidence_regions
 from skewca.decomposition import decompose, skew_matrix
-from skewca.divergence import asymmetry_measure
+from skewca.divergence import (
+    asymmetry_measure,
+    power_divergence_scale,
+    power_divergence_statistic,
+)
 from skewca.errors import (
     FullySymmetricError,
     IdentityMetricUnsupportedError,
@@ -129,10 +133,11 @@ def test_coffee_regions_exclude_origin_all_divergences(coffee):
 
 
 def test_region_circularity_and_positivity(coffee):
+    # one radius per region: circularity holds by construction, as mu_1 == mu_2
     _, profile, dec = analyze(coffee)
+    assert dec.singular_values[0] == dec.singular_values[1]
     for region in confidence_regions(dec, coffee, profile, 0.05):
-        assert region.radius_x == pytest.approx(region.radius_y, abs=1e-10)
-        assert region.radius_x > 0.0
+        assert region.radius > 0.0
 
 
 def test_region_centers_are_coordinates(coffee):
@@ -151,7 +156,7 @@ def test_radii_scale_inverse_sqrt_n(coffee):
     r1 = confidence_regions(dec1, coffee, profile1, 0.05)
     r4 = confidence_regions(dec4, scaled, profile4, 0.05)
     for a, b in zip(r1, r4):
-        assert b.radius_x == pytest.approx(a.radius_x / 2.0, abs=1e-10)
+        assert b.radius == pytest.approx(a.radius / 2.0, abs=1e-10)
         assert b.center[0] == pytest.approx(a.center[0], abs=1e-12)
         assert b.center[1] == pytest.approx(a.center[1], abs=1e-12)
 
@@ -162,7 +167,7 @@ def test_radii_shrink_with_alpha(coffee):
     r05 = confidence_regions(dec, coffee, profile, 0.05)
     r01 = confidence_regions(dec, coffee, profile, 0.01)
     for a, b, c in zip(r20, r05, r01):
-        assert a.radius_x < b.radius_x < c.radius_x
+        assert a.radius < b.radius < c.radius
 
 
 def test_category_on_null_dimension_gets_zero_radius():
@@ -173,7 +178,7 @@ def test_category_on_null_dimension_gets_zero_radius():
     assert np.hypot(dec.left_vectors[2, 0], dec.left_vectors[2, 1]) < 1e-12
     regions = confidence_regions(t=t, dec=dec, profile=profile, alpha=0.05)
     region_c = next(r for r in regions if r.axis == "row" and r.label == "c")
-    assert region_c.radius_x == pytest.approx(0.0, abs=1e-12)
+    assert region_c.radius == pytest.approx(0.0, abs=1e-12)
     assert region_c.contains_origin  # degenerate circle at the origin
 
 
@@ -205,13 +210,84 @@ def test_region_errors():
 def test_exclusion_matches_test_rejection(coffee, rng):
     # with the in-plane radius form, every region excludes the origin exactly
     # when the power-divergence statistic exceeds the chi-square point
-    from skewca.divergence import power_divergence_statistic
-
     for lam in (-0.5, 0.0, 1.0):
         _, profile, dec = analyze(coffee, lam)
         regions = confidence_regions(dec, coffee, profile, 0.05)
         stat = power_divergence_statistic(coffee, lam)
         critical = chi_square_quantile(10, 0.05)
         rejects = stat > critical
-        positive = [r for r in regions if r.radius_x > 1e-12]
+        positive = [r for r in regions if r.radius > 1e-12]
         assert all(r.contains_origin != rejects for r in positive)
+
+
+def loop_radii(dec, t, profile, alpha):
+    """Oracle: the per-category loop and ellipse test the circles had before the closed form.
+
+    Returns (radius_x, radius_y, contains_origin) per region, rows then columns.
+    """
+    size = dec.size
+    quantile = chi_square_quantile(size * (size - 1) // 2, alpha)
+    calibration = (
+        quantile * power_divergence_scale(profile.lam)
+        / (2.0 * t.n * profile.delta * dec.total_inertia)
+    )
+    mu1, mu2 = float(dec.singular_values[0]), float(dec.singular_values[1])
+    out = []
+    for vectors, coords in ((dec.left_vectors, dec.row_coords), (dec.right_vectors, dec.col_coords)):
+        for i in range(size):
+            in_plane = float(vectors[i, 0] ** 2 + vectors[i, 1] ** 2)
+            root = math.sqrt(max(calibration * in_plane, 0.0))
+            rx = float(dec.metric_weights[i]) * mu1 * root
+            ry = float(dec.metric_weights[i]) * mu2 * root
+            dx, dy = 0.0 - float(coords[i, 0]), 0.0 - float(coords[i, 1])
+            if rx <= 0.0 or ry <= 0.0:
+                covers = dx == 0.0 and dy == 0.0
+            else:
+                covers = (dx / rx) ** 2 + (dy / ry) ** 2 <= 1.0
+            out.append((rx, ry, covers))
+    return out
+
+
+def test_radius_closed_form_identity():
+    # radius_i = sqrt(q / T) * ||f_i|| on dims 1-2, with T the power-divergence
+    # statistic, and every circle off the origin covers it exactly when T <= q
+    rng = np.random.default_rng(6)
+    outcomes = set()
+    tables = 0
+    while tables < 300:
+        size = int(rng.integers(3, 12))
+        counts = rng.integers(0, 30, size=(size, size))
+        if tables % 3 == 0:
+            # one category symmetric with every other: it has no in-plane mass
+            k = int(rng.integers(size))
+            counts[k, :] = counts[:, k]
+        t = validate_table([f"c{i}" for i in range(size)], counts)
+        p = to_probabilities(t)
+        if p.delta == 0.0 or not np.any(counts != counts.T):
+            continue
+        tables += 1
+        dof = size * (size - 1) // 2
+        for lam in (-0.5, 0.0, 2.0 / 3.0, 1.0, 1.7):
+            profile = asymmetry_measure(p, lam)
+            dec = decompose(skew_matrix(p, lam), p)
+            stat = power_divergence_statistic(t, lam)
+            # one fixed level, and two a hair either side of the test's p-value,
+            # where q and T differ by about 1e-6 relative
+            p_value = 1.0 - chi_square_cdf(dof, stat)
+            alphas = (float(rng.choice([0.05, 0.5, 0.95])), p_value * (1 - 1e-6), p_value * (1 + 1e-6))
+            for alpha in (a for a in alphas if 0.0 < a < 1.0):
+                regions = confidence_regions(dec, t, profile, alpha)
+                q = chi_square_quantile(dof, alpha)
+                rows, cols = regions[:size], regions[size:]
+                assert [r.radius for r in rows] == [r.radius for r in cols]
+                for region, (rx, ry, covers) in zip(regions, loop_radii(dec, t, profile, alpha)):
+                    coords = dec.row_coords if region.axis == "row" else dec.col_coords
+                    expected = math.sqrt(q / stat) * math.hypot(*coords[region.index, :2])
+                    assert abs(region.radius - expected) <= 1e-13 * expected
+                    assert abs(region.radius - rx) <= 2 * math.ulp(rx)
+                    assert abs(region.radius - ry) <= 2 * math.ulp(ry)
+                    assert region.contains_origin == covers
+                    if region.radius > 0.0:
+                        assert region.contains_origin == (stat <= q)
+                        outcomes.add((region.contains_origin, abs(stat / q - 1.0) < 1e-5))
+    assert outcomes == {(True, False), (False, False), (True, True), (False, True)}

@@ -14,7 +14,6 @@ from conftest import (
 from skewca import decomposition
 from skewca.decomposition import (
     block_rotation_matrix,
-    contribution_ratios,
     decompose,
     default_lambda_grid,
     metric_weights,
@@ -200,8 +199,6 @@ def test_fully_symmetric_flagged_zero_decomposition():
     assert np.all(dec.row_coords == 0.0)
     assert np.all(dec.col_coords == 0.0)
     assert np.all(dec.contributions == 0.0)
-    with pytest.raises(FullySymmetricError):
-        contribution_ratios(dec)
 
 
 def test_2x2_origin_distance_is_half():
@@ -212,8 +209,8 @@ def test_2x2_origin_distance_is_half():
     rows, cols = origin_distances(dec)
     assert np.allclose(rows, 0.5, atol=1e-12)
     assert np.allclose(cols, 0.5, atol=1e-12)
-    assert contribution_ratios(dec)[0] == pytest.approx(50.0, abs=1e-10)
-    assert contribution_ratios(dec)[1] == pytest.approx(50.0, abs=1e-10)
+    assert dec.contributions[0] == pytest.approx(50.0, abs=1e-10)
+    assert dec.contributions[1] == pytest.approx(50.0, abs=1e-10)
 
 
 def test_odd_table_drops_null_dimension(rng):
@@ -337,7 +334,7 @@ def test_contribution_ratios_four_by_four(rng):
     dec = decompose(skew_matrix(p, 1.0), p)
     if dec.fully_symmetric:
         return
-    ratios = contribution_ratios(dec)
+    ratios = dec.contributions
     mu = dec.singular_values
     assert ratios[0] == ratios[1]
     assert ratios.sum() == pytest.approx(100.0, abs=1e-8)
@@ -397,7 +394,7 @@ def per_point_scan(t, grid, metric="averaged"):
     contribs, inertias = [], []
     for lam in grid:
         dec = decompose(skew_matrix(p, float(lam)), p, metric)
-        ratios = contribution_ratios(dec)
+        ratios = dec.contributions
         contribs.append(float(ratios[0] + ratios[1]))
         inertias.append(dec.total_inertia)
     return np.array(contribs), np.array(inertias)

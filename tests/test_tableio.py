@@ -119,6 +119,13 @@ def test_parse_json_requires_fields():
         parse_table_json("not json {")
 
 
+def test_parse_json_labels_must_be_a_list_of_strings_or_numbers():
+    for labels in ("5", '"ab"', "null", '{"a": 1}', '[null, "b"]', '[true, "b"]', '[["a"], "b"]'):
+        with pytest.raises(MalformedCsvError, match='"labels"'):
+            parse_table_json('{"labels": %s, "counts": [[1, 2], [3, 4]]}' % labels)
+    assert parse_table_json('{"labels": [1, 2.5], "counts": [[1, 2], [3, 4]]}').labels == ("1", "2.5")
+
+
 def test_load_table_sniffs_format(tmp_path):
     csv_path = tmp_path / "t.csv"
     csv_path.write_text("a,b\na,1,2\nb,3,4\n", encoding="utf-8")
