@@ -68,12 +68,9 @@ def _parse_dims(text: str) -> tuple[int, int]:
 
 def _parse_alpha(value: str | float) -> float:
     try:
-        alpha = float(value)
+        return float(value)
     except ValueError:
         raise InvalidAlphaError(f"alpha must be a number, got {value!r}") from None
-    if not 0.0 < alpha < 1.0:
-        raise InvalidAlphaError(f"alpha must be in (0, 1), got {alpha}")
-    return alpha
 
 
 def _parse_grid(text: str):
@@ -171,12 +168,6 @@ def _build_config(args: argparse.Namespace) -> AnalysisConfig:
     output_format = _setting(args, file_values, "format", "format") or "json"
     svg_path = _setting(args, file_values, "svg", "svg")
     plot_axes = _setting(args, file_values, "axes", "axes") or "rows"
-    if plot_axes not in ("rows", "columns", "both"):
-        raise InputError(f"axes must be rows, columns, or both, got {plot_axes!r}")
-    if metric not in ("averaged", "identity"):
-        raise InputError(f"metric must be averaged or identity, got {metric!r}")
-    if output_format not in ("json", "csv"):
-        raise InputError(f"format must be json or csv, got {output_format!r}")
     return AnalysisConfig(
         lam=lam,
         alpha=alpha,

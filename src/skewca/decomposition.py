@@ -24,7 +24,12 @@ from typing import Sequence
 import numpy as np
 
 from .divergence import AsymmetryProfile, asymmetry_measure, pair_departures, upper_triangle
-from .errors import DegenerateTableError, FullySymmetricError, LambdaOutOfRangeError
+from .errors import (
+    DegenerateTableError,
+    FullySymmetricError,
+    InvalidParameterError,
+    LambdaOutOfRangeError,
+)
 from .table import ContingencyTable, ProbabilityTable, to_probabilities
 
 METRICS = ("averaged", "identity")
@@ -53,7 +58,8 @@ class PairedSVD:
     """SVD of a skew-symmetric matrix with exact pair structure.
 
     ``singular_values`` is non-increasing with entries equal in consecutive
-    pairs; ``right_vectors`` equals ``left_vectors @ block_rotation.T``.
+    pairs; ``right_vectors`` equals ``left_vectors @ block_rotation.T``: each
+    column pair of ``left_vectors`` swapped, its new second column negated.
     The number of retained dimensions is R for even R and R - 1 for odd R,
     with structural zeros kept as explicit zero singular values.
     """
@@ -71,7 +77,12 @@ class PairedSVD:
 
     @property
     def right_vectors(self) -> np.ndarray:
-        return self.left_vectors @ self.block_rotation.T
+        # "+ 0.0" and "0.0 -" make a zero of either sign +0.0, as left @ block_rotation.T does
+        left = self.left_vectors
+        right = np.empty_like(left)
+        right[:, 0::2] = left[:, 1::2] + 0.0
+        right[:, 1::2] = 0.0 - left[:, 0::2]
+        return right
 
     def reconstruct(self) -> np.ndarray:
         return (self.left_vectors * self.singular_values) @ self.right_vectors.T
@@ -132,7 +143,7 @@ class LambdaScanResult:
 def block_rotation_matrix(n_dims: int) -> np.ndarray:
     """Block-diagonal orthogonal skew matrix of [[0, 1], [-1, 0]] blocks."""
     if n_dims % 2 != 0:
-        raise ValueError("the paired SVD always retains an even number of dimensions")
+        raise InvalidParameterError("the paired SVD always retains an even number of dimensions")
     j = np.zeros((n_dims, n_dims))
     for k in range(n_dims // 2):
         j[2 * k, 2 * k + 1] = 1.0
@@ -232,7 +243,7 @@ def metric_weights(p: ProbabilityTable, metric: str) -> np.ndarray:
     so any finite weight yields the correct origin placement.
     """
     if metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
+        raise InvalidParameterError(f"metric must be one of {METRICS}, got {metric!r}")
     if metric == "identity":
         return np.ones(p.size)
     margins = (p.row_margins + p.col_margins) / 2.0
@@ -305,11 +316,11 @@ def scan_lambda(
     """
     pts = default_lambda_grid() if grid is None else np.asarray(list(grid), dtype=float)
     if pts.size == 0:
-        raise ValueError("empty lambda grid")
+        raise InvalidParameterError("empty lambda grid")
     if np.any(pts <= -1.0):
         raise LambdaOutOfRangeError("grid contains lam <= -1")
     if metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
+        raise InvalidParameterError(f"metric must be one of {METRICS}, got {metric!r}")
     p = to_probabilities(t)
     if p.delta <= 0.0:
         raise DegenerateTableError("all mass on the diagonal: asymmetry is undefined")

@@ -43,6 +43,16 @@ class CountOverflowError(InputError):
     """A count or the table total does not fit in a 64-bit signed integer."""
 
 
+class NonIntegerCountError(InputError):
+    """Counts that are not integers: floats, booleans, strings."""
+
+
+# parameters
+
+class InvalidParameterError(InputError):
+    """A parameter outside its allowed values or choices, such as an unknown metric."""
+
+
 # divergence / decomposition
 
 class LambdaOutOfRangeError(InputError):

@@ -5,7 +5,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import numbers
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -13,13 +16,14 @@ import numpy as np
 
 from .confidence import ConfidenceRegion, confidence_regions
 from .decomposition import (
+    METRICS,
     decompose,
     origin_distances,
     scan_lambda,
     skew_from_profile,
 )
 from .divergence import NAMED_DIVERGENCES, asymmetry_measure, bowker_statistic, require_lambda
-from .errors import DimensionOutOfRangeError, InputError
+from .errors import DimensionOutOfRangeError, InputError, InvalidAlphaError, InvalidParameterError
 from .matched import build_matched, matched_coordinates
 from .svg import render_svg_plot
 from .table import ContingencyTable, to_probabilities
@@ -35,7 +39,10 @@ class AnalysisConfig:
     """Knobs shared by the analysis commands.
 
     ``lam`` accepts a float or one of the named divergences
-    (hellinger, kl, cressie-read, pearson).
+    (hellinger, kl, cressie-read, pearson), resolved to its float when the
+    config is built. Building a config also checks that ``alpha`` is a
+    number in (0, 1) and that ``metric``, ``output_format`` and
+    ``plot_axes`` are among their choices.
     """
 
     lam: float = 1.0
@@ -45,6 +52,19 @@ class AnalysisConfig:
     svg_path: str | None = None
     dims: tuple[int, int] = (1, 2)
     plot_axes: str = "rows"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "lam", resolve_lambda(self.lam))
+        if not (isinstance(self.alpha, numbers.Real) and 0.0 < self.alpha < 1.0):
+            raise InvalidAlphaError(f"alpha must be in (0, 1), got {self.alpha}")
+        if self.plot_axes not in PLOT_AXES:
+            raise InvalidParameterError(
+                f"axes must be rows, columns, or both, got {self.plot_axes!r}"
+            )
+        if self.metric not in METRICS:
+            raise InvalidParameterError(f"metric must be averaged or identity, got {self.metric!r}")
+        if self.output_format not in OUTPUT_FORMATS:
+            raise InvalidParameterError(f"format must be json or csv, got {self.output_format!r}")
 
 
 def resolve_lambda(value: str | float) -> float:
@@ -68,7 +88,9 @@ class AnalysisReport:
     """Machine-readable result of one analysis run.
 
     ``to_json``/``from_json`` round-trip every numeric field exactly;
-    ``to_csv`` renders a long-format table rounded to six decimals.
+    ``to_json`` writes json's exact ``indent=2, sort_keys=True`` layout and
+    renders each distinct float magnitude of the report once. ``to_csv``
+    renders a long-format table rounded to six decimals.
     """
 
     command: str
@@ -90,7 +112,7 @@ class AnalysisReport:
         return data
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return _json_text(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisReport":
@@ -178,6 +200,101 @@ class AnalysisReport:
         for i, warning in enumerate(self.warnings, start=1):
             emit("warning", "", "", i, warning)
         return out.getvalue()
+
+
+_INDENT = "  "
+_FLOAT_ONLY = {float}
+
+
+def _json_text(obj: Any) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\\n"``, byte for byte.
+
+    With ``indent`` set, json skips its C encoder and renders each float by
+    itself. Here every non-empty list of exact floats is left as a slot
+    while the layout is written, then all of them are rendered together:
+    ``float.__repr__`` runs once per distinct magnitude, and a set sign bit
+    prefixes "-", which is exact for every finite double, -0.0 included.
+    Reports repeat most magnitudes: the right vectors and column coordinates
+    are the left ones with each column pair swapped and one column negated,
+    and ``phi_cells`` is symmetric. Dict keys must be strings. The walk is
+    module-level recursion, not a nested function, so a call leaves no
+    reference cycle holding the report's strings until the cyclic GC runs.
+    """
+    parts: list = []
+    slots: list = []
+    _encode(obj, 0, parts, slots)
+    _fill_float_lists(parts, slots)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _encode(obj: Any, depth: int, parts: list, slots: list) -> None:
+    """Append the JSON text of obj at nesting ``depth``; a float list leaves a slot."""
+    if isinstance(obj, str):
+        parts.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        parts.append(float.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+        elif set(map(type, obj)) == _FLOAT_ONLY:
+            slots.append((len(parts), obj, depth))
+            parts.append("")
+        else:
+            inner = "\n" + _INDENT * (depth + 1)
+            sep = "[" + inner
+            for item in obj:
+                parts.append(sep)
+                sep = "," + inner
+                _encode(item, depth + 1, parts, slots)
+            parts.append("\n" + _INDENT * depth + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = "\n" + _INDENT * (depth + 1)
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(sep + encode_basestring_ascii(key) + ": ")
+            sep = "," + inner
+            _encode(obj[key], depth + 1, parts, slots)
+        parts.append("\n" + _INDENT * depth + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _fill_float_lists(parts: list, slots: list) -> None:
+    """Write each slotted float list into ``parts``, rendering each distinct magnitude once."""
+    values = np.array([x for _, floats, _ in slots for x in floats])
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = float(values[np.argmin(finite)])
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+    magnitudes, index = np.unique(np.abs(values), return_inverse=True)
+    texts = list(map(float.__repr__, magnitudes.tolist()))
+    negative = np.signbit(values)
+    negated, negated_index = np.unique(index[negative], return_inverse=True)
+    index[negative] = len(texts) + negated_index
+    texts += ["-" + texts[i] for i in negated.tolist()]
+    rendered = np.array(texts, dtype=object)[index].tolist()
+    start = 0
+    for slot, floats, depth in slots:
+        inner = "\n" + _INDENT * (depth + 1)
+        stop = start + len(floats)
+        parts[slot] = "[" + inner + ("," + inner).join(rendered[start:stop]) + "\n" + _INDENT * depth + "]"
+        start = stop
 
 
 def _floats(arr) -> list:

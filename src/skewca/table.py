@@ -11,8 +11,10 @@ from .errors import (
     CountOverflowError,
     DuplicateLabelError,
     EmptyTableError,
+    InvalidParameterError,
     LabelCountMismatchError,
     NegativeEntryError,
+    NonIntegerCountError,
     NonSquareError,
 )
 
@@ -41,7 +43,7 @@ def _count_array(counts) -> np.ndarray:
             isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in exact.flat
         ):
             return exact
-    raise TypeError(f"counts must be integers, got dtype {arr.dtype}")
+    raise NonIntegerCountError(f"counts must be integers, got dtype {arr.dtype}")
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,7 @@ class ContingencyTable:
     def scaled(self, k: int) -> "ContingencyTable":
         """Return a copy with every count multiplied by the positive integer k."""
         if k < 1:
-            raise ValueError("scale factor must be a positive integer")
+            raise InvalidParameterError("scale factor must be a positive integer")
         if self.n * int(k) > INT64_MAX:
             raise CountOverflowError(f"total count {self.n} * {k} does not fit in int64")
         return validate_table(self.labels, self.counts * int(k))

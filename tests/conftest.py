@@ -8,12 +8,14 @@ i S, so agreement between the two is a real cross-check, not a tautology.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from skewca.datasets import coffee_table, opinion_tables
+from skewca.reporting import AnalysisReport
 from skewca.table import validate_table
 
 # ---------------------------------------------------------------- fixtures
@@ -32,6 +34,23 @@ def opinions():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True)
+def reports_serialize_as_json_dumps(monkeypatch):
+    """Every report a test builds must give json.dumps's exact text from ``to_json``."""
+    built = []
+    init = AnalysisReport.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(AnalysisReport, "__init__", recording_init)
+    yield
+    for report in built:
+        oracle = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+        assert report.to_json() == oracle + "\n", report.command
 
 
 # ------------------------------------------------------- oracle functions

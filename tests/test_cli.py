@@ -138,6 +138,18 @@ def test_bad_config_file(capsys, coffee_csv, tmp_path):
     assert "key=value" in err
 
 
+def test_exit_code_2_for_config_values_outside_their_choices(capsys, coffee_csv, tmp_path):
+    cfg = tmp_path / "choices.cfg"
+    for line, message in (
+        ("axes=up", "error: axes must be rows, columns, or both, got 'up'\n"),
+        ("metric=weird", "error: metric must be averaged or identity, got 'weird'\n"),
+        ("format=yaml", "error: format must be json or csv, got 'yaml'\n"),
+    ):
+        cfg.write_text(line + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", str(coffee_csv), "--config", str(cfg))
+        assert (code, out, err) == (2, "", message)
+
+
 def test_exit_code_2_for_malformed_csv(capsys, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\na,1,2\n", encoding="utf-8")

@@ -13,6 +13,7 @@ from conftest import (
 )
 from skewca import decomposition
 from skewca.decomposition import (
+    PairedSVD,
     block_rotation_matrix,
     decompose,
     default_lambda_grid,
@@ -24,7 +25,12 @@ from skewca.decomposition import (
     skew_matrix,
 )
 from skewca.divergence import asymmetry_measure
-from skewca.errors import DegenerateTableError, FullySymmetricError, LambdaOutOfRangeError
+from skewca.errors import (
+    DegenerateTableError,
+    FullySymmetricError,
+    InvalidParameterError,
+    LambdaOutOfRangeError,
+)
 from skewca.table import to_probabilities, validate_table
 
 
@@ -183,8 +189,22 @@ def test_block_rotation_matrix_shape():
         [0.0, 0.0, -1.0, 0.0],
     ]))
     assert np.array_equal(j @ j.T, np.eye(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameterError):
         block_rotation_matrix(3)
+
+
+def test_right_vectors_are_the_rotation_product_bit_for_bit(rng):
+    # the product sums from +0.0, so a zero comes out +0.0 whatever its sign in left
+    lefts = [np.array([[-0.0, -0.0, 1.0, -2.0], [0.0, -3.0, -0.0, 0.0], [-1.0, -0.0, -0.0, -0.0]])]
+    cyclic = validate_table(list("abcde"), 7 * np.roll(np.eye(5, dtype=int), 1, axis=1))
+    for t in [cyclic] + [random_table(rng, int(rng.integers(3, 9))) for _ in range(10)]:
+        p = to_probabilities(t)
+        lefts.append(decompose(skew_matrix(p, 1.0), p).left_vectors)
+    for left in lefts:
+        right = PairedSVD(left_vectors=left, singular_values=np.zeros(left.shape[1])).right_vectors
+        product = left @ block_rotation_matrix(left.shape[1]).T
+        assert np.array_equal(right, product)
+        assert np.array_equal(np.signbit(right), np.signbit(product))
 
 
 # --------------------------------------------------------------- decompose
@@ -324,7 +344,7 @@ def test_identity_metric():
     assert np.all(dec.metric_weights == 1.0)
     rows, _ = origin_distances(dec)
     assert np.allclose(rows, math.sqrt(0.125), atol=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameterError):
         metric_weights(p, "weird")
 
 
@@ -384,7 +404,7 @@ def test_default_grid_shape():
 def test_scan_rejects_bad_grid(coffee):
     with pytest.raises(LambdaOutOfRangeError):
         scan_lambda(coffee, grid=[-1.5, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameterError):
         scan_lambda(coffee, grid=[])
 
 
@@ -439,7 +459,7 @@ def test_scan_grid_spanning_several_chunks(coffee, monkeypatch):
 def test_scan_contributions_ignore_the_metric(coffee):
     grid = [-0.5, 0.0, 1.0]
     assert scan_lambda(coffee, grid, "identity") == scan_lambda(coffee, grid, "averaged")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameterError):
         scan_lambda(coffee, grid, "euclidean")
 
 

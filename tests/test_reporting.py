@@ -1,10 +1,21 @@
+import gc
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewca import decomposition, divergence, reporting
-from skewca.errors import DegenerateTableError, DimensionOutOfRangeError, InputError
+from skewca.errors import (
+    DegenerateTableError,
+    DimensionOutOfRangeError,
+    InputError,
+    InvalidAlphaError,
+    InvalidParameterError,
+    LambdaOutOfRangeError,
+)
 from skewca.reporting import (
     AnalysisConfig,
     AnalysisReport,
@@ -15,6 +26,7 @@ from skewca.reporting import (
     run_matched,
     run_scan,
 )
+from skewca.reporting import _json_text
 from skewca.table import validate_table
 
 
@@ -27,6 +39,26 @@ def test_resolve_lambda_named_values():
     assert resolve_lambda(0.25) == 0.25
     with pytest.raises(InputError):
         resolve_lambda("nonsense")
+
+
+def test_config_checks_its_fields():
+    assert AnalysisConfig(lam="kl").lam == 0.0
+    assert AnalysisConfig(lam="0.25").lam == 0.25
+    for kwargs, error in (
+        ({"alpha": 7.0, "metric": "identity"}, InvalidAlphaError),
+        ({"alpha": 0.0}, InvalidAlphaError),
+        ({"alpha": 1.0}, InvalidAlphaError),
+        ({"alpha": math.nan}, InvalidAlphaError),
+        ({"alpha": math.inf}, InvalidAlphaError),
+        ({"alpha": "0.1"}, InvalidAlphaError),
+        ({"metric": "weird"}, InvalidParameterError),
+        ({"output_format": "yaml"}, InvalidParameterError),
+        ({"plot_axes": "up"}, InvalidParameterError),
+        ({"lam": -5.0}, LambdaOutOfRangeError),
+        ({"lam": "bogus"}, InputError),
+    ):
+        with pytest.raises(error):
+            AnalysisConfig(**kwargs)
 
 
 def test_analyze_coffee_regions_exclude_origin(coffee):
@@ -195,3 +227,84 @@ def test_scan_report(coffee):
     assert report.scan["best_lambda"] in (0.0, 0.5, 1.0)
     text = report.to_csv()
     assert "scan_point" in text
+
+
+# ------------------------------------------------------------ JSON writer
+
+SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, 1e-5, 0.1, 1e16, 1e22, 1.7976931348623157e308)
+finite_floats = st.one_of(
+    st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def float_lists(draw, size=None):
+    """Floats drawn from a few magnitudes with random signs, so values repeat and negate."""
+    pool = draw(st.lists(finite_floats, min_size=1, max_size=5))
+    signed = st.builds(lambda m, neg: -m if neg else m, st.sampled_from(pool), st.booleans())
+    if size is None:
+        return draw(st.lists(signed, max_size=8))
+    return draw(st.lists(signed, min_size=size, max_size=size))
+
+
+matrices = st.integers(1, 4).flatmap(lambda n: st.lists(float_lists(size=n), min_size=1, max_size=4))
+leaves = st.one_of(
+    finite_floats,
+    finite_floats.map(np.float64),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=6),
+    st.sampled_from(["é", "Größe", "日本", "a\"b\\c\n", "\u2028"]),
+    float_lists(),
+    matrices,
+    st.lists(st.one_of(st.integers(-5, 5), finite_floats), max_size=5),
+)
+json_values = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@given(json_values)
+@settings(max_examples=400, deadline=None)
+def test_writer_matches_json_dumps(value):
+    oracle = json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert _json_text(value) == oracle
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_writer_rejects_non_finite_floats(bad):
+    for value in (bad, np.float64(bad), [1.0, bad], [1, bad], {"a": [[0.5], [bad]]}):
+        with pytest.raises(ValueError):
+            json.dumps(value, allow_nan=False)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _json_text(value)
+
+
+def test_writer_rejects_unserializable_values():
+    for value in ({"a": object()}, [np.int64(3)], {1.5, 2.5}):
+        with pytest.raises(TypeError):
+            json.dumps(value)
+        with pytest.raises(TypeError):
+            _json_text(value)
+    # json.dumps would write the key 3 as "3"; report keys are always strings
+    with pytest.raises(TypeError):
+        _json_text({"a": {3: 1.0}})
+
+
+def test_to_json_leaves_no_reference_cycle(rng):
+    labels = [f"c{i}" for i in range(40)]
+    report = run_analyze(AnalysisConfig(), validate_table(labels, rng.integers(0, 50, (40, 40))))
+    gc.collect()
+    gc.disable()
+    try:
+        report.to_json()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -8,7 +8,9 @@ from skewca.errors import (
     DuplicateLabelError,
     EmptyTableError,
     LabelCountMismatchError,
+    InvalidParameterError,
     NegativeEntryError,
+    NonIntegerCountError,
     NonSquareError,
 )
 from skewca.table import INT64_MAX, to_probabilities, validate_table
@@ -56,9 +58,9 @@ def test_label_count_mismatch():
 
 
 def test_float_counts_rejected():
-    with pytest.raises(TypeError):
+    with pytest.raises(NonIntegerCountError):
         validate_table(["a", "b"], [[1.0, 2.0], [3.0, 4.0]])
-    with pytest.raises(TypeError):
+    with pytest.raises(NonIntegerCountError):
         validate_table(["a", "b"], [[True, False], [False, True]])
 
 
@@ -165,3 +167,10 @@ def test_scaled_total_beyond_int64_is_rejected():
     with pytest.raises(CountOverflowError):
         t.scaled(4)
 
+
+
+def test_scaled_rejects_factor_below_one():
+    t = validate_table(["a", "b"], [[0, 2], [1, 0]])
+    for k in (0, -3):
+        with pytest.raises(InvalidParameterError):
+            t.scaled(k)
