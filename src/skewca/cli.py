@@ -5,7 +5,9 @@ tables), ``bowker`` (symmetry test only), ``scan`` (lam grid search).
 Defaults can come from a key=value config file named by --config or the
 SKEWCA_CONFIG environment variable; explicit flags win over the file.
 
-Exit codes: 0 success, 2 input error, 3 numeric or degenerate-data error.
+Exit codes: 0 success, 2 input error (including a named path that cannot be
+read or written), 3 numeric or degenerate-data error. Any other exception is
+a bug and propagates: Python prints its traceback and exits 1.
 """
 
 from __future__ import annotations
@@ -16,23 +18,28 @@ import os
 import sys
 from pathlib import Path
 
-from .decomposition import default_lambda_grid
-from .errors import AnalysisError, InputError, InvalidAlphaError, SkewcaError
+from .decomposition import METRICS, default_lambda_grid
+from .errors import InputError, InvalidAlphaError, SkewcaError
 from .reporting import (
+    OUTPUT_FORMATS,
+    PLOT_AXES,
     AnalysisConfig,
     AnalysisReport,
     render_report,
-    resolve_lambda,
     run_analyze,
     run_bowker,
     run_matched,
     run_scan,
 )
-from .tableio import load_table
+from .tableio import load_table, read_text
 
 CONFIG_ENV_VAR = "SKEWCA_CONFIG"
 
-_CONFIG_KEYS = ("lambda", "alpha", "metric", "dims", "format", "svg", "axes")
+# config-file key (also the dest of its flag) -> AnalysisConfig field
+_SETTINGS = {
+    "lambda": "lam", "alpha": "alpha", "metric": "metric", "dims": "dims",
+    "format": "output_format", "svg": "svg_path", "axes": "plot_axes",
+}
 
 # Largest --grid a scan accepts: 25 times the default 400-point grid. Each point
 # costs one eigensolve of an R x R matrix, so this bounds the time and memory of a
@@ -42,7 +49,7 @@ MAX_GRID_POINTS = 10_000
 
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -50,7 +57,7 @@ def _read_config_file(path: str) -> dict[str, str]:
             raise InputError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value.strip()
     return values
@@ -85,12 +92,13 @@ def _parse_grid(text: str):
         raise InputError(f"--grid needs finite numbers, got {text!r}")
     if step <= 0 or stop < start:
         raise InputError(f"--grid needs step > 0 and stop >= start, got {text!r}")
-    span = (stop - start) / step
-    # "not <=" also rejects a span that overflowed to infinity
-    if not span <= MAX_GRID_POINTS or round(span) + 1 > MAX_GRID_POINTS:
+    # the grid ends at the last point not past STOP, floor(last) steps from START; the
+    # slack keeps a STOP that the division lands just below
+    last = (stop - start) / step + 1e-9
+    # "not <" also rejects a span that overflowed to infinity
+    if not last < MAX_GRID_POINTS:
         raise InputError(f"--grid holds more than {MAX_GRID_POINTS} points, got {text!r}")
-    count = int(round(span)) + 1
-    return [round(start + k * step, 12) for k in range(count)]
+    return [round(start + k * step, 12) for k in range(math.floor(last) + 1)]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -102,23 +110,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(cmd: argparse.ArgumentParser, with_analysis_flags: bool = True) -> None:
         cmd.add_argument("--config", help="key=value config file (default: $SKEWCA_CONFIG)")
-        cmd.add_argument("--format", choices=("json", "csv"), help="report format (default json)")
+        cmd.add_argument(
+            "--format",
+            choices=OUTPUT_FORMATS,
+            help=f"report format (default {AnalysisConfig.output_format})",
+        )
         cmd.add_argument("-o", "--output", help="write the report here instead of stdout")
         if with_analysis_flags:
             cmd.add_argument(
                 "--lambda",
-                dest="lam",
+                metavar="LAM",
                 help="divergence parameter: a number > -1 or one of "
                 "hellinger, kl, cressie-read, pearson (default pearson)",
             )
-            cmd.add_argument("--metric", choices=("averaged", "identity"))
+            cmd.add_argument("--metric", choices=METRICS)
             cmd.add_argument("--dims", help="two plot dimensions, e.g. 1,2")
             cmd.add_argument("--svg", help="write an SVG plot to this path")
-            cmd.add_argument("--axes", choices=("rows", "columns", "both"))
+            cmd.add_argument("--axes", choices=PLOT_AXES)
 
     analyze = sub.add_parser("analyze", help="single-table asymmetry analysis")
     analyze.add_argument("table", help="CSV or JSON table file")
-    analyze.add_argument("--alpha", type=float, help="confidence level (default 0.05)")
+    analyze.add_argument(
+        "--alpha", type=float, help=f"confidence level (default {AnalysisConfig.alpha})"
+    )
     add_common(analyze)
 
     matched = sub.add_parser("matched", help="sum/difference analysis of two matched tables")
@@ -135,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--grid", help="lam grid as START:STOP:STEP (default -0.99:3.00:0.01)")
     scan.add_argument(
         "--metric",
-        choices=("averaged", "identity"),
+        choices=METRICS,
         help="recorded in the report; contributions do not depend on the metric",
     )
     add_common(scan, with_analysis_flags=False)
@@ -143,40 +157,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setting(args: argparse.Namespace, file_values: dict[str, str], flag: str, key: str):
-    value = getattr(args, flag, None)
-    if value is not None:
-        return value
-    return file_values.get(key)
-
-
 def _build_config(args: argparse.Namespace) -> AnalysisConfig:
     config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
-    file_values: dict[str, str] = {}
-    if config_path:
-        file_values = _read_config_file(config_path)
-
-    lam_text = _setting(args, file_values, "lam", "lambda")
-    lam = resolve_lambda(lam_text) if lam_text is not None else 1.0
-    alpha_raw = _setting(args, file_values, "alpha", "alpha")
-    alpha = _parse_alpha(alpha_raw) if alpha_raw is not None else 0.05
-    metric = _setting(args, file_values, "metric", "metric")
-    if metric is None:
-        metric = "identity" if args.command == "matched" else "averaged"
-    dims_raw = _setting(args, file_values, "dims", "dims")
-    dims = _parse_dims(dims_raw) if isinstance(dims_raw, str) else (dims_raw or (1, 2))
-    output_format = _setting(args, file_values, "format", "format") or "json"
-    svg_path = _setting(args, file_values, "svg", "svg")
-    plot_axes = _setting(args, file_values, "axes", "axes") or "rows"
-    return AnalysisConfig(
-        lam=lam,
-        alpha=alpha,
-        metric=metric,
-        output_format=output_format,
-        svg_path=svg_path,
-        dims=dims,
-        plot_axes=plot_axes,
-    )
+    values: dict = _read_config_file(config_path) if config_path else {}
+    for key in _SETTINGS:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
+    if "alpha" in values:
+        values["alpha"] = _parse_alpha(values["alpha"])
+    if "dims" in values:
+        values["dims"] = _parse_dims(values["dims"])
+    if args.command == "matched":
+        values.setdefault("metric", "identity")
+    return AnalysisConfig(**{_SETTINGS[key]: value for key, value in values.items()})
 
 
 def _emit(report: AnalysisReport, config: AnalysisConfig, output: str | None) -> None:
@@ -206,18 +199,13 @@ def main(argv: list[str] | None = None) -> int:
             grid = _parse_grid(args.grid) if args.grid else default_lambda_grid()
             report = run_scan(config, load_table(args.table), grid)
         _emit(report, config, getattr(args, "output", None))
-    except InputError as exc:
+    except (InputError, OSError) as exc:
+        # every path the CLI opens was named by the user
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AnalysisError, SkewcaError) as exc:
+    except SkewcaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 

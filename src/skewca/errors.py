@@ -1,7 +1,7 @@
 """Exception hierarchy.
 
-Two branches matter for the CLI: ``InputError`` maps to exit code 2 and
-``AnalysisError`` (degenerate data, unsupported analysis) to exit code 3.
+The CLI maps ``InputError`` to exit code 2 and every other ``SkewcaError``,
+``AnalysisError`` among them (degenerate data, unsupported analysis), to 3.
 """
 
 

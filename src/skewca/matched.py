@@ -26,7 +26,7 @@ from .decomposition import (
     paired_svd,
     skew_matrix,
 )
-from .errors import DimensionMismatchError, LabelMismatchError
+from .errors import CountOverflowError, DimensionMismatchError, LabelMismatchError
 from .table import ContingencyTable, ProbabilityTable, to_probabilities, validate_table
 
 
@@ -108,6 +108,14 @@ def build_matched(
             f"category labels differ or are ordered differently: "
             f"{t1.labels} vs {t2.labels}"
         )
+    counts = t1.counts + t2.counts
+    # both addends are non-negative int64, so a sum below an addend wrapped
+    wrapped = counts < t1.counts
+    if wrapped.any():
+        i, j = np.argwhere(wrapped)[0]
+        value = int(t1.counts[i, j]) + int(t2.counts[i, j])
+        raise CountOverflowError(f"pooled count {value} at cell ({i}, {j}) does not fit in int64")
+    pooled = to_probabilities(validate_table(t1.labels, counts))
     p1 = to_probabilities(t1)
     p2 = to_probabilities(t2)
     sk1 = skew_matrix(p1, lam)
@@ -137,7 +145,6 @@ def build_matched(
         )
         for i in order
     )
-    pooled = to_probabilities(validate_table(t1.labels, t1.counts + t2.counts))
     for arr in (s_plus, s_minus, block_svd.left_vectors, block_svd.singular_values):
         arr.setflags(write=False)
     return MatchedAnalysis(

@@ -329,15 +329,11 @@ def _bowker_dict(table: ContingencyTable) -> dict:
 
 
 def _config_dict(config: AnalysisConfig) -> dict:
-    return {
-        "lambda": float(config.lam),
-        "alpha": float(config.alpha),
-        "metric": config.metric,
-        "output_format": config.output_format,
-        "svg_path": config.svg_path,
-        "dims": list(config.dims),
-        "plot_axes": config.plot_axes,
-    }
+    data = {f.name: getattr(config, f.name) for f in fields(config)}
+    data["lambda"] = float(data.pop("lam"))
+    data["alpha"] = float(data["alpha"])
+    data["dims"] = list(data["dims"])
+    return data
 
 
 def check_dims(dims: tuple[int, int], n_dims: int) -> tuple[int, int]:

@@ -34,7 +34,7 @@ from typing import IO
 
 import numpy as np
 
-from .errors import LabelOrderMismatchError, MalformedCsvError
+from .errors import InputError, LabelOrderMismatchError, MalformedCsvError
 from .table import INT64_MAX, ContingencyTable, validate_table
 
 _INT_RE = re.compile(r"^[+]?\d+$")
@@ -130,9 +130,17 @@ def parse_table_json(text: str) -> ContingencyTable:
     return validate_table([str(x) for x in labels], counts)
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file; other bytes raise an InputError that names the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def load_table(path: str | Path) -> ContingencyTable:
     """Load a table from a CSV or JSON file, sniffing by content."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     if text.lstrip().startswith("{"):
         return parse_table_json(text)
     return parse_table_csv(text)

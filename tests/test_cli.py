@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import skewca
 from skewca import cli
 from skewca.cli import main
+from skewca.decomposition import default_lambda_grid
 from skewca.errors import InputError, InvalidAlphaError
 
 COFFEE_CSV = """,HP,TC,SA,NE,BR
@@ -128,6 +134,26 @@ def test_config_file_and_override(capsys, coffee_csv, tmp_path, monkeypatch):
     monkeypatch.setenv("SKEWCA_CONFIG", str(cfg))
     code, out, _ = run_cli(capsys, "analyze", str(coffee_csv))
     assert json.loads(out)["config"]["lambda"] == -0.5
+    # every config key reaches its report field
+    svg = tmp_path / "all.svg"
+    cfg.write_text(
+        f"lambda=kl\nalpha=0.2\nmetric=identity\ndims=2,1\nformat=csv\nsvg={svg}\naxes=both\n",
+        encoding="utf-8",
+    )
+    code, _, err = run_cli(capsys, "analyze", str(coffee_csv), "-o", str(tmp_path / "all.csv"))
+    assert code == 0, err
+    assert (tmp_path / "all.csv").read_text(encoding="utf-8").startswith("record,")
+    assert svg.exists()
+    report = json.loads((tmp_path / "all.json").read_text(encoding="utf-8"))
+    assert report["config"] == {
+        "lambda": 0.0,
+        "alpha": 0.2,
+        "metric": "identity",
+        "dims": [2, 1],
+        "output_format": "csv",
+        "svg_path": str(svg),
+        "plot_axes": "both",
+    }
 
 
 def test_bad_config_file(capsys, coffee_csv, tmp_path):
@@ -161,6 +187,55 @@ def test_exit_code_2_for_malformed_csv(capsys, tmp_path):
 def test_exit_code_2_for_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", str(tmp_path / "nope.csv"))
     assert code == 2
+
+
+def test_exit_code_2_for_unusable_named_paths(capsys, coffee_csv, tmp_path):
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(COFFEE_CSV.replace("HP,93", "H\xc9,93").encode("latin-1"))
+    latin_cfg = tmp_path / "latin.cfg"
+    latin_cfg.write_bytes("lambda=caf\xe9\n".encode("latin-1"))
+    for argv, message in (
+        (["analyze", str(tmp_path)], "Is a directory"),
+        (["matched", str(coffee_csv), str(tmp_path)], "Is a directory"),
+        (["analyze", str(coffee_csv), "-o", str(tmp_path)], "Is a directory"),
+        (["analyze", str(coffee_csv), "--format", "csv", "-o", f"{tmp_path}/"], "Is a directory"),
+        (["analyze", str(coffee_csv), "--svg", str(tmp_path)], "Is a directory"),
+        (["analyze", str(coffee_csv), "--config", str(tmp_path)], "Is a directory"),
+        (["analyze", str(latin)], f"{latin} is not UTF-8 text"),
+        (["analyze", str(coffee_csv), "--config", str(latin_cfg)], f"{latin_cfg} is not UTF-8 text"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and message in err, argv
+
+
+def test_exit_code_1_with_traceback_for_a_library_bug(capsys, coffee_csv, monkeypatch):
+    def broken(*args):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "run_analyze", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["analyze", str(coffee_csv)])
+    script = (
+        "import sys\n"
+        "from skewca import cli\n"
+        "def broken(*args):\n"
+        "    raise ValueError('internal bug')\n"
+        "cli.run_analyze = broken\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    src = str(Path(skewca.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", script, "analyze", str(coffee_csv)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "Traceback" in done.stderr
+    assert done.stderr.rstrip().endswith("ValueError: internal bug")
 
 
 def test_exit_code_2_for_bad_lambda(capsys, coffee_csv):
@@ -210,6 +285,30 @@ def test_grid_point_bound(capsys, coffee_csv):
         assert code == 2, grid
         assert "--grid" in err
     assert len(cli._parse_grid(f"0:{cli.MAX_GRID_POINTS - 1}:1")) == cli.MAX_GRID_POINTS
+
+
+def test_grid_ends_at_stop(capsys, coffee_csv):
+    for grid, points in (
+        ("0:1:0.6", [0.0, 0.6]),
+        ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3]),
+        ("0.1:0.7:0.1", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]),
+        ("0:1:0.3", [0.0, 0.3, 0.6, 0.9]),
+        ("2:2:1", [2.0]),
+    ):
+        assert cli._parse_grid(grid) == points, grid
+        code, out, err = run_cli(capsys, "scan", str(coffee_csv), "--grid", grid)
+        assert code == 0, err
+        assert json.loads(out)["scan"]["grid"] == points, grid
+    assert cli._parse_grid("-0.99:3.00:0.01") == default_lambda_grid().tolist()
+
+
+def test_exit_code_2_for_pooled_count_overflow(capsys, tmp_path):
+    # each table is valid on its own; their sum does not fit in int64
+    big = tmp_path / "big.csv"
+    big.write_text(",a,b\na,1,9000000000000000000\nb,2,3\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "matched", str(big), str(big))
+    assert (code, out) == (2, "")
+    assert err == "error: pooled count 18000000000000000000 at cell (0, 1) does not fit in int64\n"
 
 
 def test_exit_code_2_for_count_overflow(capsys, tmp_path):

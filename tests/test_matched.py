@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_table
-from skewca.errors import DimensionMismatchError, LabelMismatchError
+from skewca.errors import CountOverflowError, DimensionMismatchError, LabelMismatchError
 from skewca.matched import build_matched, matched_coordinates
 from skewca.table import validate_table
 
@@ -196,3 +196,18 @@ def test_pooled_metric_variant(opinions):
     assert coords.metric == "averaged"
     assert coords.sum_rows.shape == (4, 4)
     assert np.all(np.isfinite(coords.sum_rows))
+
+
+def test_pooled_count_overflow_names_the_cell():
+    t1 = validate_table(["a", "b", "c"], [[1, 2, 3], [4, 5, 5 * 10**18], [7, 8, 9]])
+    t2 = validate_table(["a", "b", "c"], [[1, 2, 3], [4, 5, 6], [7, 5 * 10**18, 9]])
+    small = validate_table(["a", "b", "c"], [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    assert build_matched(t1, small, 1.0).pooled.p.shape == (3, 3)
+    # every pooled cell fits, the pooled total does not
+    with pytest.raises(CountOverflowError, match="total count"):
+        build_matched(t1, t2, 1.0)
+    # a pooled cell wraps past 2**63 - 1
+    with pytest.raises(CountOverflowError, match=r"pooled count 10000000000000000000 at cell \(1, 2\)"):
+        build_matched(t1, t1, 1.0)
+    with pytest.raises(CountOverflowError, match=r"at cell \(2, 1\)"):
+        build_matched(t2, t2, 1.0)
