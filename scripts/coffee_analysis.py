@@ -14,9 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from skewca import AnalysisConfig, origin_distances, run_analyze, run_scan
-from skewca.datasets import coffee_table
+from skewca import AnalysisConfig, run_analyze, run_scan
 from skewca.divergence import NAMED_DIVERGENCES
+from skewca.tableio import load_table
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = Path("out")
@@ -25,7 +25,7 @@ OUT = Path("out")
 def main() -> None:
     """Write the reports into out/ under the current directory."""
     OUT.mkdir(exist_ok=True)
-    table = coffee_table()
+    table = load_table(ROOT / "data" / "coffee.csv")
     for name, lam in sorted(NAMED_DIVERGENCES.items()):
         config = AnalysisConfig(lam=lam, svg_path=(OUT / f"coffee_{name}.svg").as_posix())
         report = run_analyze(config, table)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from skewca import AnalysisConfig, run_matched
-from skewca.datasets import opinion_tables
+from skewca.tableio import load_table
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = Path("out")
@@ -24,7 +24,8 @@ OUT = Path("out")
 def main() -> None:
     """Write the report and plots into out/ under the current directory."""
     OUT.mkdir(exist_ok=True)
-    t1, t2 = opinion_tables()
+    t1 = load_table(ROOT / "data" / "opinions_teens.csv")
+    t2 = load_table(ROOT / "data" / "opinions_adults.csv")
     config = AnalysisConfig(lam=1.0, metric="identity", svg_path=(OUT / "opinions.svg").as_posix())
     report = run_matched(config, t1, t2)
     (OUT / "opinions_matched.json").write_text(report.to_json(), encoding="utf-8")

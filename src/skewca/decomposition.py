@@ -299,28 +299,22 @@ def default_lambda_grid() -> np.ndarray:
     return np.round(np.arange(-99, 301) * 0.01, 10)
 
 
-def scan_lambda(
-    t: ContingencyTable,
-    grid: Sequence[float] | None = None,
-    metric: str = "averaged",
-) -> LambdaScanResult:
+def scan_lambda(t: ContingencyTable, grid: Sequence[float] | None = None) -> LambdaScanResult:
     """Grid search for the lam maximizing the dims 1-2 contribution.
 
     Reports the first (smallest) lam attaining the maximum summed
     contribution of the two leading dimensions, together with the full
     profile in grid order. Contributions are ratios of squared singular
-    values, which no metric changes, so ``metric`` is only validated. The
-    measure kernel runs over a chunk of grid points at a time and one
-    batched eigensolve of i S yields every singular value of the chunk;
-    a chunk holds at most SCAN_CHUNK_CELLS skew-matrix entries.
+    values, which no metric changes. The measure kernel runs over a chunk
+    of grid points at a time and one batched eigensolve of i S yields
+    every singular value of the chunk; a chunk holds at most
+    SCAN_CHUNK_CELLS skew-matrix entries.
     """
     pts = default_lambda_grid() if grid is None else np.asarray(list(grid), dtype=float)
     if pts.size == 0:
         raise InvalidParameterError("empty lambda grid")
     if np.any(pts <= -1.0):
         raise LambdaOutOfRangeError("grid contains lam <= -1")
-    if metric not in METRICS:
-        raise InvalidParameterError(f"metric must be one of {METRICS}, got {metric!r}")
     p = to_probabilities(t)
     if p.delta <= 0.0:
         raise DegenerateTableError("all mass on the diagonal: asymmetry is undefined")

@@ -28,7 +28,6 @@ from .chisquare import chi_square_cdf
 from .errors import (
     ConsistencyError,
     DegenerateTableError,
-    DiagonalCellError,
     LambdaOutOfRangeError,
 )
 from .table import ContingencyTable, ProbabilityTable, to_probabilities
@@ -238,21 +237,6 @@ def bowker_statistic(t: ContingencyTable) -> BowkerResult:
 def _require_off_diagonal(p: ProbabilityTable) -> None:
     if p.delta <= 0.0:
         raise DegenerateTableError("all mass on the diagonal: asymmetry is undefined")
-
-
-def cell_departure(p: ProbabilityTable, lam: float, i: int, j: int) -> float:
-    """Departure from symmetry carried by cell (i, j), 0-based indices.
-
-    The value is shared by (i, j) and (j, i): each of the pair carries
-    half of the pair's total departure.
-    """
-    lam = require_lambda(lam)
-    if i == j:
-        raise DiagonalCellError(f"cell ({i}, {i}) is on the diagonal")
-    _require_off_diagonal(p)
-    lo, hi = (i, j) if i < j else (j, i)
-    pair = pair_departures(p.p[[lo], [hi]], p.p[[hi], [lo]], p.delta, lam)
-    return float(pair.cells[0, 0])
 
 
 def asymmetry_measure(p: ProbabilityTable, lam: float) -> AsymmetryProfile:

@@ -59,10 +59,6 @@ class LambdaOutOfRangeError(InputError):
     pass
 
 
-class DiagonalCellError(InputError):
-    pass
-
-
 class DegenerateTableError(AnalysisError):
     """All probability mass sits on the diagonal: the measure is undefined."""
 

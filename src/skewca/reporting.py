@@ -523,7 +523,7 @@ def run_scan(
     grid=None,
 ) -> AnalysisReport:
     """Report of the lam grid scan maximizing the dims 1-2 contribution."""
-    result = scan_lambda(table, grid, config.metric)
+    result = scan_lambda(table, grid)
     return AnalysisReport(
         command="scan",
         table=_table_dict(table),

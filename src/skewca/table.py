@@ -34,7 +34,7 @@ def _count_array(counts) -> np.ndarray:
         arr = np.asarray(counts)
     except ValueError as exc:  # ragged nested sequences
         raise NonSquareError(f"counts must be a square matrix: {exc}") from None
-    if arr.dtype.kind in "iu":
+    if arr.dtype.kind in "iu" or arr.size == 0:  # an empty matrix fails the shape check
         return arr
     if arr.dtype.kind == "O" or not isinstance(counts, np.ndarray):
         # numpy infers float64 or object for Python ints that int64 cannot hold

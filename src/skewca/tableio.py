@@ -110,10 +110,11 @@ def serialize_table_csv(t: ContingencyTable) -> str:
 
 def parse_table_json(text: str) -> ContingencyTable:
     """Parse the JSON alternative body {"labels": [...], "counts": [[...]]}."""
+    # besides bad syntax, json fails on nesting too deep and on an int past Python's digit limit
     try:
         body = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedCsvError(f"invalid JSON table: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise MalformedCsvError(f"invalid JSON table: {exc}") from None
     if not isinstance(body, dict) or "labels" not in body or "counts" not in body:
         raise MalformedCsvError('JSON table requires "labels" and "counts" fields')
     counts = body["counts"]
@@ -131,16 +132,26 @@ def parse_table_json(text: str) -> ContingencyTable:
 
 
 def read_text(path: str | Path) -> str:
-    """The text of a UTF-8 file; other bytes raise an InputError that names the file."""
+    """The text of a UTF-8 file without its byte-order mark, if any.
+
+    Bytes that are not UTF-8 raise an InputError that names the file.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def load_table(path: str | Path) -> ContingencyTable:
-    """Load a table from a CSV or JSON file, sniffing by content."""
+    """Load a table from a CSV or JSON file, sniffing by content.
+
+    A body that parses as JSON, or starts with "{", is a JSON table; any
+    other body is CSV.
+    """
     text = read_text(path)
-    if text.lstrip().startswith("{"):
-        return parse_table_json(text)
-    return parse_table_csv(text)
+    if not text.lstrip().startswith("{"):
+        try:
+            json.loads(text)
+        except (ValueError, RecursionError):
+            return parse_table_csv(text)
+    return parse_table_json(text)

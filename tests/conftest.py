@@ -10,25 +10,28 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from skewca.datasets import coffee_table, opinion_tables
 from skewca.reporting import AnalysisReport
 from skewca.table import validate_table
+from skewca.tableio import load_table
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 # ---------------------------------------------------------------- fixtures
 
 
 @pytest.fixture(scope="session")
 def coffee():
-    return coffee_table()
+    return load_table(DATA / "coffee.csv")
 
 
 @pytest.fixture(scope="session")
 def opinions():
-    return opinion_tables()
+    return load_table(DATA / "opinions_teens.csv"), load_table(DATA / "opinions_adults.csv")
 
 
 @pytest.fixture()

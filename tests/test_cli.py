@@ -156,6 +156,17 @@ def test_config_file_and_override(capsys, coffee_csv, tmp_path, monkeypatch):
     }
 
 
+def test_config_file_with_byte_order_mark(capsys, coffee_csv, tmp_path):
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text("lambda=kl\nalpha=0.10\n", encoding="utf-8")
+    marked.write_text("lambda=kl\nalpha=0.10\n", encoding="utf-8-sig")
+    runs = [run_cli(capsys, "analyze", str(coffee_csv), "--config", str(cfg)) for cfg in (marked, plain)]
+    assert runs[0] == runs[1]
+    code, out, _ = runs[0]
+    assert code == 0
+    assert json.loads(out)["config"]["lambda"] == 0.0
+
+
 def test_bad_config_file(capsys, coffee_csv, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("no equals sign here\n", encoding="utf-8")

@@ -19,7 +19,6 @@ from skewca.divergence import (
     LAMBDA_ZERO_TOL,
     asymmetry_measure,
     bowker_statistic,
-    cell_departure,
     pair_departures,
     power_divergence_scale,
     power_divergence_statistic,
@@ -27,7 +26,6 @@ from skewca.divergence import (
 )
 from skewca.errors import (
     DegenerateTableError,
-    DiagonalCellError,
     LambdaOutOfRangeError,
 )
 from skewca.table import to_probabilities, validate_table
@@ -77,32 +75,30 @@ def test_bowker_skips_empty_pairs():
 def test_equal_pair_has_zero_departure():
     p = to_probabilities(validate_table(["a", "b"], [[5, 7], [7, 2]]))
     for lam in LAMBDA_GRID:
-        assert cell_departure(p, lam, 0, 1) == 0.0
+        assert asymmetry_measure(p, lam).phi_cells[0, 1] == 0.0
 
 
 def test_2x2_pearson_cell_value():
     p = to_probabilities(table22(3, 1))
-    assert cell_departure(p, 1.0, 0, 1) == pytest.approx(0.125, abs=1e-15)
-    assert cell_departure(p, 1.0, 1, 0) == pytest.approx(0.125, abs=1e-15)
+    assert asymmetry_measure(p, 1.0).phi_cells[0, 1] == pytest.approx(0.125, abs=1e-15)
+    assert asymmetry_measure(p, 1.0).phi_cells[1, 0] == pytest.approx(0.125, abs=1e-15)
     # the two directions are the same float
-    assert cell_departure(p, 1.0, 0, 1) == cell_departure(p, 1.0, 1, 0)
+    assert asymmetry_measure(p, 1.0).phi_cells[0, 1] == asymmetry_measure(p, 1.0).phi_cells[1, 0]
 
 
 def test_cell_departure_errors():
     p = to_probabilities(table22(3, 1))
     with pytest.raises(LambdaOutOfRangeError):
-        cell_departure(p, -1.0, 0, 1)
-    with pytest.raises(DiagonalCellError):
-        cell_departure(p, 1.0, 1, 1)
+        asymmetry_measure(p, -1.0).phi_cells[0, 1]
     diag = to_probabilities(validate_table(["a", "b"], [[5, 0], [0, 5]]))
     with pytest.raises(DegenerateTableError):
-        cell_departure(diag, 1.0, 0, 1)
+        asymmetry_measure(diag, 1.0).phi_cells[0, 1]
 
 
 def test_zero_pair_cell_returns_zero_and_is_recorded():
     t = validate_table(["a", "b", "c"], [[0, 3, 0], [1, 0, 0], [0, 0, 0]])
     p = to_probabilities(t)
-    assert cell_departure(p, 1.0, 1, 2) == 0.0
+    assert asymmetry_measure(p, 1.0).phi_cells[1, 2] == 0.0
     profile = asymmetry_measure(p, 1.0)
     assert (1, 2) in profile.zero_pair_cells
     assert (0, 2) in profile.zero_pair_cells
@@ -400,7 +396,7 @@ def test_kernel_overflow_raises_without_warning():
         with pytest.raises(LambdaOutOfRangeError):
             asymmetry_measure(p, 2000.0)
         with pytest.raises(LambdaOutOfRangeError):
-            cell_departure(p, 2000.0, 0, 1)
+            asymmetry_measure(p, 2000.0).phi_cells[0, 1]
 
 
 def test_kernel_rejects_bad_lambdas():
@@ -422,6 +418,6 @@ def test_measure_matches_kernel_cells(coffee):
         for i in range(p.size):
             for j in range(p.size):
                 if i != j:
-                    assert cell_departure(p, lam, i, j) == pytest.approx(
+                    assert asymmetry_measure(p, lam).phi_cells[i, j] == pytest.approx(
                         profile.phi_cells[i, j], rel=1e-15, abs=1e-18
                     )

@@ -40,6 +40,9 @@ def test_non_square():
         validate_table(["a"], [[1]])
     with pytest.raises(NonSquareError):  # ragged rows
         validate_table(["a", "b"], [[1, 2], [3]])
+    for labels, counts in (([], []), (["a"], [[]]), ([], np.empty((0, 0)))):  # empty matrices
+        with pytest.raises(NonSquareError, match="square matrix with R >= 2, got shape"):
+            validate_table(labels, counts)
 
 
 def test_empty_table():

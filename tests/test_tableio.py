@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
@@ -133,6 +134,37 @@ def test_load_table_sniffs_format(tmp_path):
     json_path.write_text('{"labels": ["a", "b"], "counts": [[1, 2], [3, 4]]}', encoding="utf-8")
     assert load_table(csv_path).n == 10
     assert load_table(json_path).n == 10
+    # any other body that parses as JSON is a JSON table too
+    path = tmp_path / "t"
+    for body in ('"x"', "[1, 2]", "5", "null", " [[1, 2], [3, 4]]\n"):
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(MalformedCsvError, match='"labels" and "counts"'):
+            load_table(path)
+    # a body that starts with "{" keeps its JSON error, also where json gives up
+    # on nesting depth or on an integer past Python's digit limit
+    for body in ('{"labels": ["a", "b"]', "{" * 100_000, '{"counts": [[%s]]}' % ("9" * 5000)):
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(MalformedCsvError, match="invalid JSON table"):
+            load_table(path)
+    # any other body that json cannot parse is CSV
+    for body in ("[" * 100_000, "9" * 5000, '"a","b"\n"a",1,2\n'):
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(MalformedCsvError, match="data rows"):
+            load_table(path)
+    path.write_text('"a","b"\n"a",1,2\n"b",3,4\n', encoding="utf-8")
+    assert load_table(path).n == 10
+
+
+def test_byte_order_mark_reads_as_without_one(tmp_path):
+    # a spreadsheet export: the mark sits right before the empty corner cell
+    for body in (",a,b\na,1,2\nb,3,4\n", '{"labels": ["a", "b"], "counts": [[1, 2], [3, 4]]}'):
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_text(body, encoding="utf-8")
+        marked.write_text(body, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        ours, theirs = load_table(marked), load_table(plain)
+        assert ours.labels == theirs.labels == ("a", "b")
+        assert np.array_equal(ours.counts, theirs.counts)
 
 
 _label = st.text(
@@ -330,5 +362,34 @@ _csv_chars = st.sampled_from(list(',,,\n\n"+-0129 \t\ra٣０'))
 def test_arbitrary_text_raises_only_input_errors(text):
     try:
         parse_table_csv(text)
+    except InputError:
+        pass
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=20,
+)
+_json_tables = st.fixed_dictionaries(
+    {
+        "labels": _json_values | st.lists(st.text(max_size=3) | st.integers() | st.floats(), max_size=4),
+        "counts": _json_values | st.lists(st.lists(st.integers(), max_size=4), max_size=4),
+    }
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "table"
+
+
+@given(st.one_of(_json_values, _json_tables))
+@settings(max_examples=300, deadline=None)
+def test_arbitrary_json_raises_only_input_errors(fuzz_path, body):
+    fuzz_path.write_text(json.dumps(body), encoding="utf-8")
+    try:
+        load_table(fuzz_path)
     except InputError:
         pass
