@@ -15,6 +15,21 @@ _GAMMA_EPS = 1e-16
 _GAMMA_MAX_ITER = 500
 
 
+def _max_terms(a: float) -> int:
+    # near x = a the series takes about 9 sqrt(a) terms and the continued fraction fewer
+    return _GAMMA_MAX_ITER + int(10.0 * math.sqrt(a))
+
+
+def _gamma_prefix(a: float, x: float) -> float:
+    """x^a e^-x / Gamma(a); past a = 100, where the direct logs cancel to an error
+    near 1e-16 a log x, as a (log1p(t) - t) with t = x/a - 1 and Stirling's series."""
+    if a <= 100.0 or x < 1e-3 * a:
+        return math.exp(-x + a * math.log(x) - math.lgamma(a))
+    t = (x - a) / a
+    stirling = (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * a * a)) / (a * a)) / a
+    return math.sqrt(a / (2.0 * math.pi)) * math.exp(a * (math.log1p(t) - t) - stirling)
+
+
 def _lower_gamma_series(a: float, x: float) -> float:
     """Regularized P(a, x) by the power series, for x < a + 1."""
     if x == 0.0:
@@ -22,13 +37,13 @@ def _lower_gamma_series(a: float, x: float) -> float:
     term = 1.0 / a
     total = term
     denom = a
-    for _ in range(_GAMMA_MAX_ITER):
+    for _ in range(_max_terms(a)):
         denom += 1.0
         term *= x / denom
         total += term
         if abs(term) < abs(total) * _GAMMA_EPS:
             break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return total * _gamma_prefix(a, x)
 
 
 def _upper_gamma_cf(a: float, x: float) -> float:
@@ -38,7 +53,7 @@ def _upper_gamma_cf(a: float, x: float) -> float:
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, _GAMMA_MAX_ITER + 1):
+    for i in range(1, _max_terms(a) + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -52,7 +67,7 @@ def _upper_gamma_cf(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _GAMMA_EPS:
             break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return h * _gamma_prefix(a, x)
 
 
 def regularized_gamma_p(a: float, x: float) -> float:

@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from .decomposition import METRICS, default_lambda_grid
+from .decomposition import METRICS
 from .errors import InputError, InvalidAlphaError, SkewcaError
 from .reporting import (
     OUTPUT_FORMATS,
@@ -196,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "bowker":
             report = run_bowker(config, load_table(args.table))
         else:
-            grid = _parse_grid(args.grid) if args.grid else default_lambda_grid()
+            grid = _parse_grid(args.grid) if args.grid else None
             report = run_scan(config, load_table(args.table), grid)
         _emit(report, config, getattr(args, "output", None))
     except (InputError, OSError) as exc:

@@ -27,12 +27,7 @@ import numpy as np
 from .chisquare import chi_square_quantile
 from .decomposition import SymmetryDecomposition
 from .divergence import AsymmetryProfile, power_divergence_scale
-from .errors import (
-    FullySymmetricError,
-    IdentityMetricUnsupportedError,
-    InvalidAlphaError,
-    UnsupportedDimensionError,
-)
+from .errors import FullySymmetricError, IdentityMetricUnsupportedError, UnsupportedDimensionError
 from .table import ContingencyTable
 
 
@@ -66,25 +61,24 @@ def confidence_regions(
     category with no in-plane mass gets radius 0, and its circle covers
     the origin only if it sits exactly there.
 
+    The checks run in this order, and each message is the reason
+    ``run_analyze`` gives when it skips the circles.
+
     Raises:
+        FullySymmetricError: zero asymmetry measure.
         UnsupportedDimensionError: 2x2 table (no dimensions remain beyond
             the leading plane, and the calibration is not defined there).
-        FullySymmetricError: zero asymmetry measure.
         IdentityMetricUnsupportedError: the derivation is tied to the
             averaged-margin metric.
-        InvalidAlphaError: alpha outside (0, 1).
+        InvalidAlphaError: alpha outside (0, 1), from the chi-square quantile.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidAlphaError(f"alpha must be in (0, 1), got {alpha}")
     size = dec.size
-    if size == 2:
-        raise UnsupportedDimensionError("confidence regions are undefined for 2x2 tables")
-    if dec.metric != "averaged":
-        raise IdentityMetricUnsupportedError(
-            "confidence regions require the averaged-margin metric"
-        )
     if dec.fully_symmetric or dec.total_inertia <= 0.0:
-        raise FullySymmetricError("fully symmetric table: confidence regions are undefined")
+        raise FullySymmetricError("zero asymmetry measure")
+    if size == 2:
+        raise UnsupportedDimensionError("undefined for 2x2 tables")
+    if dec.metric != "averaged":
+        raise IdentityMetricUnsupportedError("identity metric")
     quantile = chi_square_quantile(size * (size - 1) // 2, alpha)
     scale = power_divergence_scale(profile.lam)
     calibration = quantile * scale / (2.0 * t.n * profile.delta * dec.total_inertia)

@@ -23,14 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .divergence import AsymmetryProfile, asymmetry_measure, pair_departures, upper_triangle
-from .errors import (
-    DegenerateTableError,
-    FullySymmetricError,
-    InvalidParameterError,
-    LambdaOutOfRangeError,
-)
-from .table import ContingencyTable, ProbabilityTable, to_probabilities
+from .divergence import AsymmetryProfile, _require_off_diagonal, asymmetry_measure
+from .divergence import pair_departures, upper_triangle
+from .errors import FullySymmetricError, InvalidParameterError, LambdaOutOfRangeError
+from .table import ContingencyTable, ProbabilityTable, _frozen, to_probabilities
 
 METRICS = ("averaged", "identity")
 
@@ -39,18 +35,6 @@ ZERO_SINGULAR_RTOL = 1e-10
 
 # most skew-matrix entries one chunk of the lam scan holds at once
 SCAN_CHUNK_CELLS = 1 << 16
-
-
-@dataclass(frozen=True)
-class SkewMatrix:
-    """Signed square-root matrix of the per-cell departures."""
-
-    values: np.ndarray = field(repr=False)
-    lam: float
-
-    @property
-    def size(self) -> int:
-        return int(self.values.shape[0])
 
 
 @dataclass(frozen=True)
@@ -100,7 +84,6 @@ class SymmetryDecomposition:
     """
 
     labels: tuple[str, ...]
-    lam: float
     metric: str
     svd: PairedSVD
     metric_weights: np.ndarray = field(repr=False)
@@ -151,17 +134,15 @@ def block_rotation_matrix(n_dims: int) -> np.ndarray:
     return j
 
 
-def skew_matrix(p: ProbabilityTable, lam: float) -> SkewMatrix:
-    """Signed element-wise square root of the cell departures at lam."""
+def skew_matrix(p: ProbabilityTable, lam: float) -> np.ndarray:
+    """Signed element-wise square root of the cell departures at lam, read-only."""
     return skew_from_profile(p, asymmetry_measure(p, lam))
 
 
-def skew_from_profile(p: ProbabilityTable, profile: AsymmetryProfile) -> SkewMatrix:
-    """The skew matrix of an already computed asymmetry profile."""
+def skew_from_profile(p: ProbabilityTable, profile: AsymmetryProfile) -> np.ndarray:
+    """The read-only skew matrix of an already computed asymmetry profile."""
     upper = upper_triangle(p.size)
-    s = _skew_stack(p, upper, profile.phi_cells[upper][None])[0]
-    s.setflags(write=False)
-    return SkewMatrix(values=s, lam=profile.lam)
+    return _frozen(_skew_stack(p, upper, profile.phi_cells[upper][None])[0])
 
 
 def _skew_stack(p: ProbabilityTable, upper: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -184,6 +165,27 @@ def _canonical_sign(vec: np.ndarray) -> np.ndarray:
     return -vec if vec[int(np.argmax(np.abs(vec)))] < 0 else vec
 
 
+def _pair_values(eigenvalues: np.ndarray) -> np.ndarray:
+    """The pair values mu, largest first, from ascending eigenvalues of i S.
+
+    The eigenvalues along the last axis are +-mu (and one 0 for odd R): the
+    top R // 2, reversed, are the pair values. Those below
+    ZERO_SINGULAR_RTOL of the largest are structural zeros, set to 0.
+    """
+    mus = eigenvalues[..., ::-1][..., : eigenvalues.shape[-1] // 2]
+    return np.where(mus > ZERO_SINGULAR_RTOL * mus[..., :1], mus, 0.0)
+
+
+def _completed(vectors: np.ndarray, n_cols: int) -> np.ndarray:
+    """Orthonormal columns ``vectors``, completed by canonically signed ones to ``n_cols``."""
+    kept = vectors.shape[1]
+    if kept == n_cols:
+        return vectors
+    basis = np.linalg.qr(vectors, mode="complete")[0]
+    extra = [_canonical_sign(basis[:, c]) for c in range(kept, n_cols)]
+    return np.column_stack([vectors, *extra])
+
+
 def paired_svd(skew: np.ndarray) -> PairedSVD:
     """Canonically oriented paired SVD of a skew-symmetric matrix.
 
@@ -199,13 +201,11 @@ def paired_svd(skew: np.ndarray) -> PairedSVD:
     vectors; for odd R the single leftover null vector is dropped.
     """
     size = skew.shape[0]
-    n_dims = size - size % 2
-    mus, vecs = np.linalg.eigh(1j * skew)
-    # eigh sorts ascending: the last n_dims / 2 eigenpairs, reversed, are the +mu ones
-    mus, vecs = mus[::-1][: n_dims // 2], vecs[:, ::-1]
-    n_kept = int(np.count_nonzero(mus > ZERO_SINGULAR_RTOL * mus.max(initial=0.0)))
-    left = np.zeros((size, n_dims))
-    singular = np.zeros(n_dims)
+    eigenvalues, vecs = np.linalg.eigh(1j * skew)
+    # eigh sorts ascending: the last eigenvectors, reversed, belong to the +mu values
+    mus, vecs = _pair_values(eigenvalues), vecs[:, ::-1]
+    n_kept = int(np.count_nonzero(mus))
+    left = np.zeros((size, 2 * n_kept))
     for k in range(n_kept):
         u = vecs[:, k]
         pivot = int(np.argmax(np.abs(u)))
@@ -219,18 +219,8 @@ def paired_svd(skew: np.ndarray) -> PairedSVD:
         second -= done @ (done.T @ second) + (first @ second) * first
         second /= np.linalg.norm(second)
         left[:, 2 * k], left[:, 2 * k + 1] = first, second
-        singular[2 * k] = singular[2 * k + 1] = mus[k]
-    kept = 2 * n_kept
-    if kept < n_dims:
-        completion = np.linalg.qr(left[:, :kept], mode="complete")[0]
-        for c in range(kept, n_dims):
-            left[:, c] = _canonical_sign(completion[:, c])
-    return PairedSVD(left_vectors=_ro(left), singular_values=_ro(singular))
-
-
-def _ro(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+    left = _completed(left, size - size % 2)
+    return PairedSVD(left_vectors=_frozen(left), singular_values=_frozen(np.repeat(mus, 2)))
 
 
 def metric_weights(p: ProbabilityTable, metric: str) -> np.ndarray:
@@ -250,34 +240,33 @@ def metric_weights(p: ProbabilityTable, metric: str) -> np.ndarray:
     return np.where(margins > 0.0, margins, 1.0) ** -0.5
 
 
-def decompose(s: SkewMatrix, p: ProbabilityTable, metric: str = "averaged") -> SymmetryDecomposition:
+def decompose(s: np.ndarray, p: ProbabilityTable, metric: str = "averaged") -> SymmetryDecomposition:
     """Principal coordinates, inertia, and contributions of a skew matrix.
 
     A fully symmetric table (zero matrix) is a legitimate outcome: it
     returns all coordinates at the origin, zero contributions, and the
     ``fully_symmetric`` flag instead of raising.
     """
-    svd = paired_svd(np.asarray(s.values, dtype=float))
+    svd = paired_svd(s)
     weights = metric_weights(p, metric)
     inv_root = weights[:, None]
     row = inv_root * svd.left_vectors * svd.singular_values[None, :]
     col = inv_root * svd.right_vectors * svd.singular_values[None, :]
     inertia = float(np.sum(svd.singular_values**2))
-    fully_symmetric = not np.any(s.values)
+    fully_symmetric = not np.any(s)
     if inertia > 0.0:
         contributions = 100.0 * svd.singular_values**2 / inertia
     else:
         contributions = np.zeros(svd.n_dims)
     return SymmetryDecomposition(
         labels=p.labels,
-        lam=s.lam,
         metric=metric,
         svd=svd,
-        metric_weights=_ro(weights),
-        row_coords=_ro(row),
-        col_coords=_ro(col),
+        metric_weights=_frozen(weights),
+        row_coords=_frozen(row),
+        col_coords=_frozen(col),
         total_inertia=inertia,
-        contributions=_ro(contributions),
+        contributions=_frozen(contributions),
         fully_symmetric=fully_symmetric,
     )
 
@@ -316,8 +305,7 @@ def scan_lambda(t: ContingencyTable, grid: Sequence[float] | None = None) -> Lam
     if np.any(pts <= -1.0):
         raise LambdaOutOfRangeError("grid contains lam <= -1")
     p = to_probabilities(t)
-    if p.delta <= 0.0:
-        raise DegenerateTableError("all mass on the diagonal: asymmetry is undefined")
+    _require_off_diagonal(p)
     upper = upper_triangle(p.size)
     a, b = p.p[upper], p.p.T[upper]
     step = max(1, SCAN_CHUNK_CELLS // p.size**2)
@@ -330,9 +318,7 @@ def scan_lambda(t: ContingencyTable, grid: Sequence[float] | None = None) -> Lam
             raise FullySymmetricError(
                 "fully symmetric table: the contribution profile is undefined at every lam"
             )
-        # eigenvalues ascend: the top half, reversed, are the pair values mu
-        mus = np.linalg.eigvalsh(1j * _skew_stack(p, upper, cells))[:, ::-1][:, : p.size // 2]
-        mus = np.where(mus > ZERO_SINGULAR_RTOL * mus[:, :1], mus, 0.0)
+        mus = _pair_values(np.linalg.eigvalsh(1j * _skew_stack(p, upper, cells)))
         inertias[chunk] = 2.0 * np.sum(mus**2, axis=1)
         ratio = 100.0 * mus[:, 0] ** 2 / inertias[chunk]
         contribs[chunk] = ratio + ratio

@@ -30,7 +30,7 @@ from .errors import (
     DegenerateTableError,
     LambdaOutOfRangeError,
 )
-from .table import ContingencyTable, ProbabilityTable, to_probabilities
+from .table import ContingencyTable, ProbabilityTable, _frozen, to_probabilities
 
 # lam values closer to 0 than this use the analytic lam -> 0 limit; the
 # generic formula is 0/0 at 0 and loses accuracy in a shrinking band around it.
@@ -257,7 +257,6 @@ def asymmetry_measure(p: ProbabilityTable, lam: float) -> AsymmetryProfile:
     cells = np.zeros((p.size, p.size))
     cells[upper] = pairs.cells[0]
     cells.T[upper] = pairs.cells[0]
-    cells.setflags(write=False)
     zero_pairs: tuple[tuple[int, int], ...] = ()
     empty = np.flatnonzero(a + b == 0.0)
     if empty.size:
@@ -268,7 +267,7 @@ def asymmetry_measure(p: ProbabilityTable, lam: float) -> AsymmetryProfile:
         delta=p.delta,
         # guard the upper bound against accumulated rounding
         phi_total=min(float(pairs.totals[0]), 1.0),
-        phi_cells=cells,
+        phi_cells=_frozen(cells),
         zero_pair_cells=zero_pairs,
     )
 

@@ -18,16 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import (
-    PairedSVD,
-    SkewMatrix,
-    _canonical_sign,
-    metric_weights,
-    paired_svd,
-    skew_matrix,
-)
+from .decomposition import PairedSVD, _completed, metric_weights, paired_svd, skew_matrix
+from .divergence import require_lambda
 from .errors import CountOverflowError, DimensionMismatchError, LabelMismatchError
-from .table import ContingencyTable, ProbabilityTable, to_probabilities, validate_table
+from .table import ContingencyTable, ProbabilityTable, _frozen, to_probabilities, validate_table
 
 
 @dataclass(frozen=True)
@@ -43,8 +37,8 @@ class DimensionClass:
 class MatchedAnalysis:
     labels: tuple[str, ...]
     lam: float
-    skew_first: SkewMatrix
-    skew_second: SkewMatrix
+    skew_first: np.ndarray = field(repr=False)
+    skew_second: np.ndarray = field(repr=False)
     s_plus: np.ndarray = field(repr=False)
     s_minus: np.ndarray = field(repr=False)
     svd_plus: PairedSVD = field(repr=False)
@@ -60,7 +54,7 @@ class MatchedAnalysis:
     @property
     def block(self) -> np.ndarray:
         """The 2R x 2R block matrix [[S1, S2], [S2, S1]] that ``block_svd`` factorizes."""
-        s1, s2 = self.skew_first.values, self.skew_second.values
+        s1, s2 = self.skew_first, self.skew_second
         return np.block([[s1, s2], [s2, s1]])
 
 
@@ -80,14 +74,6 @@ class MatchedCoordinates:
     difference_rows: np.ndarray = field(repr=False)
     difference_cols: np.ndarray = field(repr=False)
     difference_singular_values: np.ndarray = field(repr=False)
-
-
-def _padded_vectors(svd: PairedSVD, size: int) -> np.ndarray:
-    """Left vectors plus, for odd R, the null vector the paired SVD drops."""
-    if svd.n_dims == size:
-        return svd.left_vectors
-    null = np.linalg.qr(svd.left_vectors, mode="complete")[0][:, -1]
-    return np.column_stack((svd.left_vectors, _canonical_sign(null)))
 
 
 def build_matched(
@@ -118,19 +104,18 @@ def build_matched(
     pooled = to_probabilities(validate_table(t1.labels, counts))
     p1 = to_probabilities(t1)
     p2 = to_probabilities(t2)
-    sk1 = skew_matrix(p1, lam)
-    sk2 = skew_matrix(p2, lam)
-    s1, s2 = sk1.values, sk2.values
-    s_plus = s1 + s2
-    s_minus = s1 - s2
+    s1 = skew_matrix(p1, lam)
+    s2 = skew_matrix(p2, lam)
+    s_plus = _frozen(s1 + s2)
+    s_minus = _frozen(s1 - s2)
     svd_plus = paired_svd(s_plus)
     svd_minus = paired_svd(s_minus)
     size = t1.size
     # the block maps [b; b] to [S+ b; S+ b] and [b; -b] to [S- b; -S- b], so
     # its singular vectors are the component vectors, duplicated for the sum
     # and sign-flipped for the difference; odd sizes add each null vector
-    plus_vecs = _padded_vectors(svd_plus, size)
-    minus_vecs = _padded_vectors(svd_minus, size)
+    plus_vecs = _completed(svd_plus.left_vectors, size)
+    minus_vecs = _completed(svd_minus.left_vectors, size)
     vectors = np.block([[plus_vecs, minus_vecs], [plus_vecs, -minus_vecs]]) / math.sqrt(2.0)
     values = np.zeros(2 * size)
     values[: svd_plus.n_dims] = svd_plus.singular_values
@@ -138,20 +123,20 @@ def build_matched(
     # pair values are exactly equal, so the stable merge keeps pairs adjacent
     # and sends exact ties to the sum component first
     order = np.argsort(-values, kind="stable")
-    block_svd = PairedSVD(left_vectors=vectors[:, order], singular_values=values[order])
+    block_svd = PairedSVD(
+        left_vectors=_frozen(vectors[:, order]), singular_values=_frozen(values[order])
+    )
     classes = tuple(
         DimensionClass(
             "sum" if i < size else "difference", int(i % size) + 1, float(values[i])
         )
         for i in order
     )
-    for arr in (s_plus, s_minus, block_svd.left_vectors, block_svd.singular_values):
-        arr.setflags(write=False)
     return MatchedAnalysis(
         labels=t1.labels,
-        lam=sk1.lam,
-        skew_first=sk1,
-        skew_second=sk2,
+        lam=require_lambda(lam),
+        skew_first=s1,
+        skew_second=s2,
         s_plus=s_plus,
         s_minus=s_minus,
         svd_plus=svd_plus,

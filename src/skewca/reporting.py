@@ -24,6 +24,7 @@ from .decomposition import (
 )
 from .divergence import NAMED_DIVERGENCES, asymmetry_measure, bowker_statistic, require_lambda
 from .errors import DimensionOutOfRangeError, InputError, InvalidAlphaError, InvalidParameterError
+from .errors import FullySymmetricError, IdentityMetricUnsupportedError, UnsupportedDimensionError
 from .matched import build_matched, matched_coordinates
 from .svg import render_svg_plot
 from .table import ContingencyTable, to_probabilities
@@ -403,16 +404,13 @@ def run_analyze(config: AnalysisConfig, table: ContingencyTable) -> AnalysisRepo
             f"({table.labels[j]}, {table.labels[i]}) are both empty; "
             "their departure is taken as 0"
         )
-    regions: list[ConfidenceRegion] | None = None
     if dec.fully_symmetric:
         warnings.append("table is fully symmetric: all coordinates sit at the origin")
-        warnings.append("confidence regions skipped: zero asymmetry measure")
-    elif table.size == 2:
-        warnings.append("confidence regions skipped: undefined for 2x2 tables")
-    elif config.metric != "averaged":
-        warnings.append("confidence regions skipped: identity metric")
-    else:
+    regions: list[ConfidenceRegion] | None = None
+    try:
         regions = confidence_regions(dec, table, profile, config.alpha)
+    except (FullySymmetricError, UnsupportedDimensionError, IdentityMetricUnsupportedError) as exc:
+        warnings.append(f"confidence regions skipped: {exc}")
 
     report = AnalysisReport(
         command="analyze",

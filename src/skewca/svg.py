@@ -23,7 +23,6 @@ def render_svg_plot(
     points: Sequence[tuple[str, float, float]],
     circles: Sequence[tuple[float, float, float]] = (),
     captions: tuple[str, str] = ("axis 1", "axis 2"),
-    canvas: int = CANVAS,
 ) -> str:
     """Render labeled points and optional circles to an SVG document.
 
@@ -37,7 +36,7 @@ def render_svg_plot(
     for cx, cy, r in circles:
         extent = max(extent, abs(cx) + r, abs(cy) + r)
     extent = extent * 1.1 if extent > 0.0 else 1.0
-    half = canvas / 2.0
+    half = CANVAS / 2.0
     scale = (half - MARGIN) / extent
 
     def px(x: float) -> float:
@@ -49,12 +48,12 @@ def render_svg_plot(
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{canvas}" height="{canvas}" viewBox="0 0 {canvas} {canvas}">',
-        f'<rect x="0" y="0" width="{canvas}" height="{canvas}" fill="white"/>',
-        f'<line x1="{_fmt(MARGIN)}" y1="{_fmt(half)}" x2="{_fmt(canvas - MARGIN)}" '
+        f'width="{CANVAS}" height="{CANVAS}" viewBox="0 0 {CANVAS} {CANVAS}">',
+        f'<rect x="0" y="0" width="{CANVAS}" height="{CANVAS}" fill="white"/>',
+        f'<line x1="{_fmt(MARGIN)}" y1="{_fmt(half)}" x2="{_fmt(CANVAS - MARGIN)}" '
         f'y2="{_fmt(half)}" stroke="#999999" stroke-width="1"/>',
         f'<line x1="{_fmt(half)}" y1="{_fmt(MARGIN)}" x2="{_fmt(half)}" '
-        f'y2="{_fmt(canvas - MARGIN)}" stroke="#999999" stroke-width="1"/>',
+        f'y2="{_fmt(CANVAS - MARGIN)}" stroke="#999999" stroke-width="1"/>',
     ]
     for cx, cy, r in circles:
         parts.append(
@@ -70,7 +69,7 @@ def render_svg_plot(
             f'font-family="monospace" font-size="14">{_escape(label)}</text>'
         )
     parts.append(
-        f'<text x="{_fmt(half)}" y="{_fmt(canvas - MARGIN / 3)}" text-anchor="middle" '
+        f'<text x="{_fmt(half)}" y="{_fmt(CANVAS - MARGIN / 3)}" text-anchor="middle" '
         f'font-family="monospace" font-size="15">{_escape(captions[0])}</text>'
     )
     parts.append(

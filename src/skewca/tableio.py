@@ -69,8 +69,6 @@ def parse_table_csv(source: str | IO[str]) -> ContingencyTable:
     header = [cell.strip() for cell in rows[0]]
     if header and header[0] == "":
         header = header[1:]
-    if not header:
-        raise MalformedCsvError("header row holds no labels")
     size = len(header)
     data_rows = rows[1:]
     if len(data_rows) != size:

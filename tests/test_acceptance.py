@@ -107,7 +107,7 @@ def test_criterion_3_decomposition_identities():
         for lam in THEOREM_LAMBDAS:
             s = skew_matrix(p, lam)
             dec = decompose(s, p)
-            phi = float(np.sum(np.asarray(s.values) ** 2))
+            phi = float(np.sum(np.asarray(s) ** 2))
             mu = dec.singular_values
             metric = np.diag(1.0 / dec.metric_weights**2)
             checks = [
@@ -116,7 +116,7 @@ def test_criterion_3_decomposition_identities():
                 abs(float(np.trace(dec.col_coords.T @ metric @ dec.col_coords)) - phi),
                 float(np.abs(dec.right_vectors - dec.left_vectors @ dec.svd.block_rotation.T).max()),
                 float(np.abs(dec.col_coords - dec.row_coords @ dec.svd.block_rotation.T).max()),
-                float(np.abs((dec.left_vectors * mu) @ dec.right_vectors.T - s.values).max()),
+                float(np.abs((dec.left_vectors * mu) @ dec.right_vectors.T - s).max()),
                 float(
                     np.abs(
                         np.linalg.norm(dec.row_coords, axis=1)

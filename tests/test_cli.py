@@ -181,6 +181,7 @@ def test_exit_code_2_for_config_values_outside_their_choices(capsys, coffee_csv,
         ("axes=up", "error: axes must be rows, columns, or both, got 'up'\n"),
         ("metric=weird", "error: metric must be averaged or identity, got 'weird'\n"),
         ("format=yaml", "error: format must be json or csv, got 'yaml'\n"),
+        ("colour=red", f"error: {cfg}:1: unknown config key 'colour'\n"),
     ):
         cfg.write_text(line + "\n", encoding="utf-8")
         code, out, err = run_cli(capsys, "analyze", str(coffee_csv), "--config", str(cfg))
@@ -262,6 +263,11 @@ def test_exit_code_2_for_bad_dims(capsys, coffee_csv, tmp_path):
     )
     assert code == 2
     assert "dimension" in err
+    for dims, message in (
+        ("1", "error: --dims expects two comma-separated dimensions, got '1'\n"),
+        ("a,b", "error: --dims expects integers, got 'a,b'\n"),
+    ):
+        assert run_cli(capsys, "analyze", str(coffee_csv), "--dims", dims) == (2, "", message)
 
 
 def test_exit_code_3_for_diagonal_table(capsys, tmp_path):
@@ -285,6 +291,14 @@ def test_exit_code_2_for_non_finite_grid(capsys, coffee_csv):
         code, _, err = run_cli(capsys, "scan", str(coffee_csv), "--grid", grid)
         assert code == 2, grid
         assert "--grid" in err
+    for grid, message in (
+        ("1:2", "--grid expects START:STOP:STEP, got '1:2'"),
+        ("a:b:c", "--grid expects numbers, got 'a:b:c'"),
+        ("0:1:0", "--grid needs step > 0 and stop >= start, got '0:1:0'"),
+        ("1:0:0.1", "--grid needs step > 0 and stop >= start, got '1:0:0.1'"),
+    ):
+        result = run_cli(capsys, "scan", str(coffee_csv), f"--grid={grid}")
+        assert result == (2, "", f"error: {message}\n"), grid
 
 
 def test_grid_point_bound(capsys, coffee_csv):

@@ -54,6 +54,21 @@ def test_cdf_against_scipy_grid():
             assert chi_square_cdf(dof, x) == pytest.approx(
                 float(special.gammainc(dof / 2.0, x / 2.0)), abs=1e-12
             )
+    # the Bowker dof of R = 155 and R = 200; below x = dof + 2 the series needs
+    # about 9 sqrt(dof / 2) terms
+    for dof in (12_000, 19_900):
+        for x in (dof - 3.0, dof - 0.5, float(dof), dof + 1.0, dof + 1.99, dof + 2.5):
+            assert chi_square_cdf(dof, x) == pytest.approx(
+                float(special.gammainc(dof / 2.0, x / 2.0)), abs=1e-12
+            )
+
+
+def test_cdf_against_scipy_up_to_dof_19900():
+    # every dof a Bowker test of R <= 200 can have, six standard deviations either side
+    for dof in [*range(1, 19_900, 199), 19_900]:
+        spread = 6.0 * math.sqrt(2.0 * dof)
+        for x in np.linspace(max(dof - spread, 0.0), dof + spread, 13):
+            assert abs(chi_square_cdf(dof, x) - special.gammainc(dof / 2.0, x / 2.0)) < 1e-11
 
 
 def test_gamma_p_validation():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     oracle_origin_distances,
@@ -13,7 +15,9 @@ from conftest import (
 )
 from skewca import decomposition
 from skewca.decomposition import (
+    ZERO_SINGULAR_RTOL,
     PairedSVD,
+    _completed,
     block_rotation_matrix,
     decompose,
     default_lambda_grid,
@@ -50,16 +54,16 @@ def random_skew(rng, size):
 def test_symmetric_table_gives_zero_matrix():
     p = to_probabilities(validate_table(["a", "b"], [[1, 2], [2, 1]]))
     s = skew_matrix(p, 1.0)
-    assert np.all(s.values == 0.0)
+    assert np.all(s == 0.0)
 
 
 def test_2x2_signed_root():
     p = to_probabilities(table22(3, 1))
     s = skew_matrix(p, 1.0)
-    assert s.values[0, 1] == pytest.approx(math.sqrt(0.125), abs=1e-15)
-    assert s.values[1, 0] == -s.values[0, 1]
+    assert s[0, 1] == pytest.approx(math.sqrt(0.125), abs=1e-15)
+    assert s[1, 0] == -s[0, 1]
     flipped = skew_matrix(to_probabilities(table22(1, 3)), 1.0)
-    assert flipped.values[0, 1] == pytest.approx(-math.sqrt(0.125), abs=1e-15)
+    assert flipped[0, 1] == pytest.approx(-math.sqrt(0.125), abs=1e-15)
 
 
 def test_skew_from_profile_equals_skew_matrix(coffee, rng):
@@ -70,19 +74,18 @@ def test_skew_from_profile_equals_skew_matrix(coffee, rng):
         for lam in (-0.5, 0.0, 1.0):
             via_profile = skew_from_profile(p, asymmetry_measure(p, lam))
             direct = skew_matrix(p, lam)
-            assert np.array_equal(via_profile.values, direct.values)
-            assert via_profile.lam == direct.lam
-            assert not via_profile.values.flags.writeable
+            assert np.array_equal(via_profile, direct)
+            assert not via_profile.flags.writeable
 
 
 def test_skew_matches_oracle_and_reconstructs_measure(coffee, rng):
     p = to_probabilities(coffee)
     for lam in (-0.5, 0.0, 1.0, 2.0):
         s = skew_matrix(p, lam)
-        assert np.allclose(s.values, oracle_skew(np.asarray(p.p), lam), atol=1e-13)
-        assert np.array_equal(s.values, -s.values.T)
+        assert np.allclose(s, oracle_skew(np.asarray(p.p), lam), atol=1e-13)
+        assert np.array_equal(s, -s.T)
         phi = oracle_phi_total(np.asarray(p.p), lam)
-        assert float(np.sum(s.values**2)) == pytest.approx(phi, abs=1e-12)
+        assert float(np.sum(s**2)) == pytest.approx(phi, abs=1e-12)
 
 
 def test_lambda_errors_propagate():
@@ -118,10 +121,10 @@ def test_reconstruction_on_large_random_tables(rng):
         t = random_table(rng, size, high=50)
         p = to_probabilities(t)
         s = skew_matrix(p, 1.0)
-        svd = paired_svd(np.asarray(s.values, dtype=float))
-        assert np.abs(svd.reconstruct() - s.values).max() < 1e-10
+        svd = paired_svd(np.asarray(s, dtype=float))
+        assert np.abs(svd.reconstruct() - s).max() < 1e-10
         assert float(np.sum(svd.singular_values**2)) == pytest.approx(
-            float(np.sum(np.asarray(s.values) ** 2)), abs=1e-10
+            float(np.sum(np.asarray(s) ** 2)), abs=1e-10
         )
 
 
@@ -172,6 +175,60 @@ def test_paired_svd_handles_repeated_singular_values(rng):
                 first, second = left[:, 2 * k], left[:, 2 * k + 1]
                 pivot = int(np.argmax(first**2 + second**2))
                 assert first[pivot] > 0.0
+
+
+@st.composite
+def planted_spectra(draw):
+    """(orthonormal basis, pair values) for R = 2..11, the values largest first.
+
+    Each value below the largest is drawn relative to it: anywhere in
+    [0, 1], tied with it, clustered within 1e-9 of it, or near and below
+    the structural-zero threshold ZERO_SINGULAR_RTOL.
+    """
+    size = draw(st.integers(2, 11))
+    relative = st.one_of(
+        st.floats(0.0, 1.0),
+        st.just(1.0),
+        st.floats(1.0 - 1e-9, 1.0),
+        st.sampled_from([1e-8, 1e-9, 2e-10, 1e-10, 5e-11, 1e-13, 0.0]),
+    )
+    rest = draw(st.lists(relative, min_size=size // 2 - 1, max_size=size // 2 - 1))
+    top = draw(st.floats(1e-6, 1e6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = np.linalg.qr(rng.normal(size=(size, size)))[0]
+    return basis, top * np.array(sorted([1.0, *rest], reverse=True))
+
+
+@given(planted_spectra())
+@settings(max_examples=200, deadline=None)
+def test_paired_svd_on_planted_spectra(planted):
+    basis, mus = planted
+    s = planted_skew(basis, mus)
+    size, top = s.shape[0], float(mus[0])
+    svd = paired_svd(s)
+    vals, left = svd.singular_values, svd.left_vectors
+    n_dims = size - size % 2
+    assert left.shape == (size, n_dims)
+    # exact pairing, non-increasing
+    assert np.array_equal(vals[0::2], vals[1::2])
+    assert np.all(np.diff(vals) <= 0.0)
+    # values clearly below the structural-zero threshold are exactly zero, others kept
+    planted = np.repeat(mus, 2)
+    assert np.all(vals[planted < 0.5 * ZERO_SINGULAR_RTOL * top] == 0.0)
+    assert np.all(vals[planted > 2.0 * ZERO_SINGULAR_RTOL * top] > 0.0)
+    # LAPACK agrees on every kept value; a value set to zero was below the threshold
+    lapack = np.linalg.svd(s, compute_uv=False)[:n_dims]
+    kept = vals > 0.0
+    assert np.all(np.abs(vals - lapack)[kept] <= 1e-12 * top)
+    assert np.all(lapack[~kept] <= (ZERO_SINGULAR_RTOL + 1e-12) * top)
+    # reconstruction misses at most the values set to zero
+    assert np.abs(svd.reconstruct() - s).max() <= (ZERO_SINGULAR_RTOL + 1e-12) * top
+    for vectors in (left, svd.right_vectors):
+        assert np.abs(vectors.T @ vectors - np.eye(n_dims)).max() < 1e-12
+    # the completion to a full basis that the matched block SVD uses
+    full = _completed(left, size)
+    assert np.array_equal(full[:, :n_dims], left)
+    assert np.abs(full.T @ full - np.eye(size)).max() < 1e-12
 
 
 def test_paired_svd_zero_matrix():
@@ -250,7 +307,7 @@ def test_decomposition_identities(coffee, rng):
         for lam in (-0.5, 0.0, 1.0):
             s = skew_matrix(p, lam)
             dec = decompose(s, p)
-            phi = float(np.sum(np.asarray(s.values) ** 2))
+            phi = float(np.sum(np.asarray(s) ** 2))
             mu = dec.singular_values
             left, right = dec.left_vectors, dec.right_vectors
             rot = dec.svd.block_rotation
@@ -267,13 +324,13 @@ def test_decomposition_identities(coffee, rng):
             assert np.abs(right - left @ rot.T).max() < 1e-12
             assert np.abs(dec.col_coords - dec.row_coords @ rot.T).max() < 1e-10
             assert np.abs(dec.row_coords - dec.col_coords @ rot).max() < 1e-10
-            assert np.abs((left * mu) @ right.T - s.values).max() < 1e-10
+            assert np.abs((left * mu) @ right.T - s).max() < 1e-10
             # per-category rotation coincidence
             rn = np.linalg.norm(dec.row_coords, axis=1)
             cn = np.linalg.norm(dec.col_coords, axis=1)
             assert np.abs(rn - cn).max() < 1e-10
             # coordinate expansion through the skew matrix
-            expansion = dec.metric_weights[:, None] * (s.values @ right)
+            expansion = dec.metric_weights[:, None] * (s @ right)
             assert np.abs(dec.row_coords - expansion).max() < 1e-10
 
 

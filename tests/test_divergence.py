@@ -273,6 +273,13 @@ def test_extreme_lambda_overflow_is_a_clean_error():
         asymmetry_measure(p, 5000.0)
     with pytest.raises(LambdaOutOfRangeError):
         power_divergence_statistic(t, 5000.0)
+    # the measure stays finite (a cyclic table has Phi = 1), but the statistic
+    # scales the divergence by 2n / (lam (lam + 1)) past double precision
+    big = 10**15
+    cyclic = validate_table(["a", "b", "c"], [[0, big, 0], [0, 0, big], [big, 0, 0]])
+    assert asymmetry_measure(to_probabilities(cyclic), 1000.0).phi_total == 1.0
+    with pytest.raises(LambdaOutOfRangeError, match="statistic overflows"):
+        power_divergence_statistic(cyclic, 1000.0)
 
 
 # ------------------------------------------------------ the measure kernel

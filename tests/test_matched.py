@@ -39,7 +39,7 @@ def test_second_table_symmetric_duplicates_first(rng):
     t2 = validate_table(t1.labels, sym_counts)
     m = build_matched(t1, t2, 1.0)
     assert np.abs(m.s_plus - m.s_minus).max() < 1e-15
-    assert np.abs(m.s_plus - m.skew_first.values).max() < 1e-15
+    assert np.abs(m.s_plus - m.skew_first).max() < 1e-15
     vals = m.block_svd.singular_values
     # every value of the first table's SVD appears twice: once sum, once difference
     plus = m.svd_plus.singular_values
@@ -56,7 +56,7 @@ def test_transposed_pair_kills_the_sum_component(rng):
     t2 = validate_table(t1.labels, t1.counts.T.copy())
     m = build_matched(t1, t2, 1.0)
     assert np.abs(m.s_plus).max() < 1e-15
-    assert np.abs(m.s_minus - 2.0 * m.skew_first.values).max() < 1e-15
+    assert np.abs(m.s_minus - 2.0 * m.skew_first).max() < 1e-15
     for cls in m.dim_classes:
         if cls.singular_value > 1e-12:
             assert cls.component == "difference"
@@ -86,7 +86,7 @@ def test_skew_closure(rng):
     t1 = random_table(rng, 4)
     t2 = validate_table(t1.labels, random_table(rng, 4).counts)
     m = build_matched(t1, t2, 0.5)
-    s1, s2 = m.skew_first.values, m.skew_second.values
+    s1, s2 = m.skew_first, m.skew_second
     cross = float(np.sum(s1 * s2))
     assert float(np.sum(m.s_plus**2)) == pytest.approx(
         float(np.sum(s1**2)) + float(np.sum(s2**2)) + 2 * cross, abs=1e-12

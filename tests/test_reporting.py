@@ -1,3 +1,4 @@
+import collections
 import gc
 import json
 import math
@@ -107,6 +108,19 @@ def test_analyze_identity_metric_skips_regions(coffee):
     assert any("identity" in w for w in report.warnings)
 
 
+def test_skipped_regions_give_the_reason_of_confidence_regions(coffee):
+    symmetric = validate_table(["a", "b", "c"], [[1, 2, 3], [2, 5, 1], [3, 1, 4]])
+    for config, table, reason in (
+        (AnalysisConfig(), symmetric, "zero asymmetry measure"),
+        (AnalysisConfig(), validate_table(["a", "b"], [[0, 1], [1, 0]]), "zero asymmetry measure"),
+        (AnalysisConfig(), validate_table(["a", "b"], [[0, 3], [1, 0]]), "undefined for 2x2 tables"),
+        (AnalysisConfig(metric="identity"), coffee, "identity metric"),
+    ):
+        report = run_analyze(config, table)
+        assert report.regions is None
+        assert report.warnings[-1] == f"confidence regions skipped: {reason}"
+
+
 def test_analyze_diagonal_table_aborts():
     t = validate_table(["a", "b"], [[5, 0], [0, 5]])
     with pytest.raises(DegenerateTableError):
@@ -211,6 +225,22 @@ def test_matched_report(opinions, tmp_path):
     assert (tmp_path / "m_difference.svg").exists()
     again = AnalysisReport.from_json(report.to_json())
     assert again.to_dict() == report.to_dict()
+
+
+def test_matched_csv(opinions):
+    t1, t2 = opinions
+    size = t1.size
+    text = run_matched(AnalysisConfig(lam=1.0, metric="identity"), t1, t2).to_csv()
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    records = collections.Counter(row[0] for row in rows)
+    assert records["block_singular_value"] == 2 * size
+    assert records["dimension_class"] == 2 * size
+    # each component: R dimensions for every label on the row and the column axis
+    assert records["sum_coordinate"] == records["difference_coordinate"] == 2 * size * size
+    classes = [row[4] for row in rows if row[0] == "dimension_class"]
+    assert sorted(classes) == ["difference"] * size + ["sum"] * size
+    labels = [row[2] for row in rows if row[0] == "sum_coordinate" and row[1] == "column"]
+    assert labels == [label for label in t1.labels for _ in range(size)]
 
 
 def test_bowker_report(coffee):

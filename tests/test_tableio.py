@@ -83,9 +83,17 @@ def test_label_order_mismatch():
         parse_table_csv("a,b\nb,1,2\na,3,4\n")
 
 
-def test_empty_input():
-    with pytest.raises(MalformedCsvError):
-        parse_table_csv("")
+def test_empty_input(tmp_path):
+    # a header row with no label has only blank cells, so it is dropped as a blank row
+    for text in ("", ",", ",,\n , \n", '""'):
+        with pytest.raises(MalformedCsvError, match="empty input"):
+            parse_table_csv(text)
+    with pytest.raises(MalformedCsvError, match="expected 2 data rows, found 0"):
+        parse_table_csv(",\na,1\n")
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf,\n")
+    with pytest.raises(MalformedCsvError, match="empty input"):
+        load_table(marked)
 
 
 def test_table_errors_propagate():
