@@ -1,8 +1,9 @@
-"""Chi-square CDF and quantile.
+"""Chi-square CDF, upper tail and quantile.
 
-Implemented in-house on top of the regularized lower incomplete gamma
-function (series expansion for small arguments, Lentz continued fraction
-for large), so golden outputs stay bit-stable across library versions.
+Implemented in-house on top of the regularized incomplete gamma functions
+(series expansion of the lower one for small arguments, Lentz continued
+fraction of the upper one for large), so golden outputs stay bit-stable
+across library versions.
 """
 
 from __future__ import annotations
@@ -92,6 +93,14 @@ def chi_square_cdf(dof: int, x: float) -> float:
     return regularized_gamma_p(dof / 2.0, x / 2.0)
 
 
+def chi_square_sf(dof: int, x: float) -> float:
+    """Upper tail 1 - CDF. From x = dof + 2 on it is the continued fraction itself,
+    which keeps its relative accuracy far below 1e-16, where 1 - CDF reads 0."""
+    if dof >= 1 and x >= dof + 2.0:
+        return _upper_gamma_cf(dof / 2.0, x / 2.0)
+    return 1.0 - chi_square_cdf(dof, x)
+
+
 def _chi_square_pdf(dof: int, x: float) -> float:
     if x <= 0.0:
         return 0.0
@@ -113,28 +122,30 @@ def _normal_upper_quantile(alpha: float) -> float:
 
 
 def chi_square_quantile(dof: int, alpha: float) -> float:
-    """Upper-alpha point: q with 1 - CDF(q) = alpha.
+    """Upper-alpha point: q with chi_square_sf(q) = alpha.
 
     Starts from the Wilson-Hilferty cube approximation, brackets the root,
-    and polishes with bisection-safeguarded Newton steps on the CDF.
+    and polishes with bisection-safeguarded Newton steps on the upper tail,
+    or on its log while the tail exceeds 2 alpha: far from a tiny alpha's
+    quantile a step on the tail itself moves x by only about 2.
     """
     if dof < 1:
         raise InvalidDofError(f"dof must be >= 1, got {dof}")
     if not 0.0 < alpha < 1.0:
         raise InvalidAlphaError(f"alpha must be in (0, 1), got {alpha}")
-    target = 1.0 - alpha
     z = _normal_upper_quantile(alpha)
     wh = dof * (1.0 - 2.0 / (9.0 * dof) + z * math.sqrt(2.0 / (9.0 * dof))) ** 3
     guess = max(wh, 1e-8)
     lo, hi = 0.0, guess
-    while chi_square_cdf(dof, hi) < target:
+    while chi_square_sf(dof, hi) > alpha:
         lo = hi
         hi *= 2.0
         if hi > 1e12:
             raise ArithmeticError("failed to bracket the chi-square quantile")
     x = min(max(guess, lo), hi)
     for _ in range(200):
-        f = chi_square_cdf(dof, x) - target
+        tail = chi_square_sf(dof, x)
+        f = alpha - tail
         if f > 0.0:
             hi = x
         else:
@@ -142,7 +153,10 @@ def chi_square_quantile(dof: int, alpha: float) -> float:
         df = _chi_square_pdf(dof, x)
         step_ok = df > 0.0
         if step_ok:
-            nxt = x - f / df
+            if tail > 2.0 * alpha:
+                nxt = x + math.log(tail / alpha) * tail / df
+            else:
+                nxt = x - f / df
             step_ok = lo < nxt < hi
         if not step_ok:
             nxt = 0.5 * (lo + hi)

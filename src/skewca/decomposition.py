@@ -42,8 +42,8 @@ class PairedSVD:
     """SVD of a skew-symmetric matrix with exact pair structure.
 
     ``singular_values`` is non-increasing with entries equal in consecutive
-    pairs; ``right_vectors`` equals ``left_vectors @ block_rotation.T``: each
-    column pair of ``left_vectors`` swapped, its new second column negated.
+    pairs; ``right_vectors`` equals ``left_vectors @ J.T``: each column pair
+    of ``left_vectors`` swapped, its new second column negated.
     The number of retained dimensions is R for even R and R - 1 for odd R,
     with structural zeros kept as explicit zero singular values.
     """
@@ -56,20 +56,13 @@ class PairedSVD:
         return int(self.left_vectors.shape[1])
 
     @property
-    def block_rotation(self) -> np.ndarray:
-        return block_rotation_matrix(self.n_dims)
-
-    @property
     def right_vectors(self) -> np.ndarray:
-        # "+ 0.0" and "0.0 -" make a zero of either sign +0.0, as left @ block_rotation.T does
+        # "+ 0.0" and "0.0 -" make a zero of either sign +0.0, as the product left @ J.T does
         left = self.left_vectors
         right = np.empty_like(left)
         right[:, 0::2] = left[:, 1::2] + 0.0
         right[:, 1::2] = 0.0 - left[:, 0::2]
         return right
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left_vectors * self.singular_values) @ self.right_vectors.T
 
 
 @dataclass(frozen=True)
@@ -123,17 +116,6 @@ class LambdaScanResult:
     inertias: tuple[float, ...]
 
 
-def block_rotation_matrix(n_dims: int) -> np.ndarray:
-    """Block-diagonal orthogonal skew matrix of [[0, 1], [-1, 0]] blocks."""
-    if n_dims % 2 != 0:
-        raise InvalidParameterError("the paired SVD always retains an even number of dimensions")
-    j = np.zeros((n_dims, n_dims))
-    for k in range(n_dims // 2):
-        j[2 * k, 2 * k + 1] = 1.0
-        j[2 * k + 1, 2 * k] = -1.0
-    return j
-
-
 def skew_matrix(p: ProbabilityTable, lam: float) -> np.ndarray:
     """Signed element-wise square root of the cell departures at lam, read-only."""
     return skew_from_profile(p, asymmetry_measure(p, lam))
@@ -165,27 +147,6 @@ def _canonical_sign(vec: np.ndarray) -> np.ndarray:
     return -vec if vec[int(np.argmax(np.abs(vec)))] < 0 else vec
 
 
-def _pair_values(eigenvalues: np.ndarray) -> np.ndarray:
-    """The pair values mu, largest first, from ascending eigenvalues of i S.
-
-    The eigenvalues along the last axis are +-mu (and one 0 for odd R): the
-    top R // 2, reversed, are the pair values. Those below
-    ZERO_SINGULAR_RTOL of the largest are structural zeros, set to 0.
-    """
-    mus = eigenvalues[..., ::-1][..., : eigenvalues.shape[-1] // 2]
-    return np.where(mus > ZERO_SINGULAR_RTOL * mus[..., :1], mus, 0.0)
-
-
-def _completed(vectors: np.ndarray, n_cols: int) -> np.ndarray:
-    """Orthonormal columns ``vectors``, completed by canonically signed ones to ``n_cols``."""
-    kept = vectors.shape[1]
-    if kept == n_cols:
-        return vectors
-    basis = np.linalg.qr(vectors, mode="complete")[0]
-    extra = [_canonical_sign(basis[:, c]) for c in range(kept, n_cols)]
-    return np.column_stack([vectors, *extra])
-
-
 def paired_svd(skew: np.ndarray) -> PairedSVD:
     """Canonically oriented paired SVD of a skew-symmetric matrix.
 
@@ -202,8 +163,9 @@ def paired_svd(skew: np.ndarray) -> PairedSVD:
     """
     size = skew.shape[0]
     eigenvalues, vecs = np.linalg.eigh(1j * skew)
-    # eigh sorts ascending: the last eigenvectors, reversed, belong to the +mu values
-    mus, vecs = _pair_values(eigenvalues), vecs[:, ::-1]
+    # eigh sorts ascending: reversed, the first R // 2 eigenvalues are the pair values mu
+    mus, vecs = eigenvalues[::-1][: size // 2], vecs[:, ::-1]
+    mus = np.where(mus > ZERO_SINGULAR_RTOL * mus[:1], mus, 0.0)
     n_kept = int(np.count_nonzero(mus))
     left = np.zeros((size, 2 * n_kept))
     for k in range(n_kept):
@@ -219,7 +181,11 @@ def paired_svd(skew: np.ndarray) -> PairedSVD:
         second -= done @ (done.T @ second) + (first @ second) * first
         second /= np.linalg.norm(second)
         left[:, 2 * k], left[:, 2 * k + 1] = first, second
-    left = _completed(left, size - size % 2)
+    n_dims = size - size % 2
+    if n_kept < n_dims // 2:
+        basis = np.linalg.qr(left, mode="complete")[0]
+        extra = [_canonical_sign(basis[:, c]) for c in range(2 * n_kept, n_dims)]
+        left = np.column_stack([left, *extra])
     return PairedSVD(left_vectors=_frozen(left), singular_values=_frozen(np.repeat(mus, 2)))
 
 
@@ -293,11 +259,12 @@ def scan_lambda(t: ContingencyTable, grid: Sequence[float] | None = None) -> Lam
 
     Reports the first (smallest) lam attaining the maximum summed
     contribution of the two leading dimensions, together with the full
-    profile in grid order. Contributions are ratios of squared singular
-    values, which no metric changes. The measure kernel runs over a chunk
-    of grid points at a time and one batched eigensolve of i S yields
-    every singular value of the chunk; a chunk holds at most
-    SCAN_CHUNK_CELLS skew-matrix entries.
+    profile in grid order. The contribution is 2 mu_1^2 / Phi(lam), which
+    no metric changes; mu_1^2 is the largest eigenvalue of S^T S = -S^2.
+    The measure kernel runs over a chunk of grid points at a time, its
+    totals Phi are the inertias, and one batched eigensolve of -S^2 yields
+    every mu_1^2 of the chunk; a chunk holds at most SCAN_CHUNK_CELLS
+    skew-matrix entries.
     """
     pts = default_lambda_grid() if grid is None else np.asarray(list(grid), dtype=float)
     if pts.size == 0:
@@ -313,15 +280,15 @@ def scan_lambda(t: ContingencyTable, grid: Sequence[float] | None = None) -> Lam
     inertias = np.empty(pts.size)
     for start in range(0, pts.size, step):
         chunk = slice(start, start + step)
-        cells = pair_departures(a, b, p.delta, pts[chunk]).cells
-        if not cells.any(axis=1).all():
+        departures = pair_departures(a, b, p.delta, pts[chunk])
+        if not departures.cells.any(axis=1).all():
             raise FullySymmetricError(
                 "fully symmetric table: the contribution profile is undefined at every lam"
             )
-        mus = _pair_values(np.linalg.eigvalsh(1j * _skew_stack(p, upper, cells)))
-        inertias[chunk] = 2.0 * np.sum(mus**2, axis=1)
-        ratio = 100.0 * mus[:, 0] ** 2 / inertias[chunk]
-        contribs[chunk] = ratio + ratio
+        skew = _skew_stack(p, upper, departures.cells)
+        top = np.linalg.eigvalsh(-(skew @ skew))[:, -1]
+        inertias[chunk] = departures.totals
+        contribs[chunk] = 200.0 * top / departures.totals
     # ties go to the smaller lam; a small tolerance keeps the rule meaningful
     # when two grid points agree to rounding noise
     best = int(np.argmax(contribs >= contribs.max() - 1e-9))

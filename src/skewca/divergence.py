@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chisquare import chi_square_cdf
+from .chisquare import chi_square_sf
 from .errors import (
     ConsistencyError,
     DegenerateTableError,
@@ -231,7 +231,7 @@ def bowker_statistic(t: ContingencyTable) -> BowkerResult:
     squares = (above - below) ** 2
     stat = float(np.divide(squares, tot, out=np.zeros_like(tot), where=tot > 0.0).sum())
     dof = t.size * (t.size - 1) // 2
-    return BowkerResult(statistic=stat, dof=dof, p_value=1.0 - chi_square_cdf(dof, stat))
+    return BowkerResult(statistic=stat, dof=dof, p_value=chi_square_sf(dof, stat))
 
 
 def _require_off_diagonal(p: ProbabilityTable) -> None:

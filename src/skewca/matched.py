@@ -3,12 +3,12 @@
 Two tables over identical categories yield skew matrices S1 and S2 on a
 common [0,1] scale, so S1 + S2 (shared asymmetry) and S1 - S2
 (differential asymmetry) are directly comparable even when the sample
-sizes differ wildly. The block matrix [[S1, S2], [S2, S1]] carries both
-decompositions at once: its singular values are the union of the sum and
-difference singular values, interleaved in descending order, and its
-singular vectors stack the component vectors in duplicated (sum) or
-sign-flipped (difference) blocks. Its SVD is therefore assembled from
-the two component SVDs instead of being computed.
+sizes differ wildly. The block matrix [[S1, S2], [S2, S1]] maps [u; u] to
+[S+ u; S+ u] and [w; -w] to [S- w; -S- w], so its singular values are the
+sum and difference values merged in descending order, and its singular
+vectors are [u; u] / sqrt(2) and [w; -w] / sqrt(2) for the component
+vectors u and w. Every matched result is read from the component SVDs in
+that closed form; ``MatchedAnalysis.block_svd`` factorizes the block itself.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import PairedSVD, _completed, metric_weights, paired_svd, skew_matrix
+from .decomposition import PairedSVD, metric_weights, paired_svd, skew_matrix
 from .divergence import require_lambda
 from .errors import CountOverflowError, DimensionMismatchError, LabelMismatchError
 from .table import ContingencyTable, ProbabilityTable, _frozen, to_probabilities, validate_table
@@ -43,7 +43,6 @@ class MatchedAnalysis:
     s_minus: np.ndarray = field(repr=False)
     svd_plus: PairedSVD = field(repr=False)
     svd_minus: PairedSVD = field(repr=False)
-    block_svd: PairedSVD = field(repr=False)
     dim_classes: tuple[DimensionClass, ...]
     pooled: ProbabilityTable = field(repr=False)
 
@@ -57,14 +56,19 @@ class MatchedAnalysis:
         s1, s2 = self.skew_first, self.skew_second
         return np.block([[s1, s2], [s2, s1]])
 
+    @property
+    def block_svd(self) -> PairedSVD:
+        """The paired SVD of ``block``, factorized each time it is read."""
+        return paired_svd(self.block)
+
 
 @dataclass(frozen=True)
 class MatchedCoordinates:
     """First-block principal coordinates split by component.
 
     Rows come from left singular vectors, columns from right ones. Each
-    matrix is R x (number of block dimensions attributed to the
-    component), columns ordered by descending singular value.
+    matrix is R x R, one column per block dimension of the component by
+    descending singular value; for odd R the last is its zero null one.
     """
 
     metric: str
@@ -79,13 +83,13 @@ class MatchedCoordinates:
 def build_matched(
     t1: ContingencyTable, t2: ContingencyTable, lam: float
 ) -> MatchedAnalysis:
-    """Skew matrices, sum/difference SVDs, and the classified block SVD.
+    """Skew matrices, sum/difference SVDs, and the classified block dimensions.
 
     Both tables must share the same labels in the same order and both must
     carry off-diagonal mass. The two skew matrices use the same lam. The
-    block SVD is assembled from the sum and difference SVDs; the block
-    matrix itself is never built here (``MatchedAnalysis.block`` forms it
-    on demand).
+    block's singular values are the sum and difference values merged in
+    descending order, and ``dim_classes`` attributes each to its component;
+    the block matrix itself is never built here.
     """
     if t1.size != t2.size:
         raise DimensionMismatchError(f"table sizes differ: {t1.size} vs {t2.size}")
@@ -111,21 +115,13 @@ def build_matched(
     svd_plus = paired_svd(s_plus)
     svd_minus = paired_svd(s_minus)
     size = t1.size
-    # the block maps [b; b] to [S+ b; S+ b] and [b; -b] to [S- b; -S- b], so
-    # its singular vectors are the component vectors, duplicated for the sum
-    # and sign-flipped for the difference; odd sizes add each null vector
-    plus_vecs = _completed(svd_plus.left_vectors, size)
-    minus_vecs = _completed(svd_minus.left_vectors, size)
-    vectors = np.block([[plus_vecs, minus_vecs], [plus_vecs, -minus_vecs]]) / math.sqrt(2.0)
+    # odd sizes give each component one more zero value, its null dimension
     values = np.zeros(2 * size)
     values[: svd_plus.n_dims] = svd_plus.singular_values
     values[size : size + svd_minus.n_dims] = svd_minus.singular_values
     # pair values are exactly equal, so the stable merge keeps pairs adjacent
     # and sends exact ties to the sum component first
     order = np.argsort(-values, kind="stable")
-    block_svd = PairedSVD(
-        left_vectors=_frozen(vectors[:, order]), singular_values=_frozen(values[order])
-    )
     classes = tuple(
         DimensionClass(
             "sum" if i < size else "difference", int(i % size) + 1, float(values[i])
@@ -141,7 +137,6 @@ def build_matched(
         s_minus=s_minus,
         svd_plus=svd_plus,
         svd_minus=svd_minus,
-        block_svd=block_svd,
         dim_classes=classes,
         pooled=pooled,
     )
@@ -152,28 +147,27 @@ def matched_coordinates(m: MatchedAnalysis, metric: str = "identity") -> Matched
 
     Under the identity metric (the default for matched analyses) the
     coordinates are the block singular vectors scaled by their singular
-    values, reported on the first block of categories. The averaged
-    metric weights rows by the pooled margins of the element-wise sum of
-    the two tables.
+    values, reported on the first block of categories: the component
+    vectors over sqrt(2). The averaged metric weights rows by the pooled
+    margins of the element-wise sum of the two tables.
     """
     size = m.size
-    weights = metric_weights(m.pooled, metric)
-    sums = [i for i, c in enumerate(m.dim_classes) if c.component == "sum"]
-    diffs = [i for i, c in enumerate(m.dim_classes) if c.component == "difference"]
-    left = m.block_svd.left_vectors
-    right = m.block_svd.right_vectors
-    values = m.block_svd.singular_values
+    weights = metric_weights(m.pooled, metric)[:, None]
 
-    def block_coords(vectors: np.ndarray, dims: list[int]) -> np.ndarray:
-        coords = vectors[:size, dims] * values[dims][None, :]
-        return weights[:, None] * coords
+    def padded(a: np.ndarray) -> np.ndarray:
+        # odd R keeps the component's null dimension as a zero column
+        return np.concatenate([a, np.zeros(a.shape[:-1] + (size - a.shape[-1],))], axis=-1)
 
+    def first_block(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
+        return weights * (padded(vectors) / math.sqrt(2.0) * padded(values))
+
+    plus, minus = m.svd_plus, m.svd_minus
     return MatchedCoordinates(
         metric=metric,
-        sum_rows=block_coords(left, sums),
-        sum_cols=block_coords(right, sums),
-        sum_singular_values=values[sums].copy(),
-        difference_rows=block_coords(left, diffs),
-        difference_cols=block_coords(right, diffs),
-        difference_singular_values=values[diffs].copy(),
+        sum_rows=first_block(plus.left_vectors, plus.singular_values),
+        sum_cols=first_block(plus.right_vectors, plus.singular_values),
+        sum_singular_values=padded(plus.singular_values),
+        difference_rows=first_block(minus.left_vectors, minus.singular_values),
+        difference_cols=first_block(minus.right_vectors, minus.singular_values),
+        difference_singular_values=padded(minus.singular_values),
     )

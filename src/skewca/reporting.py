@@ -42,8 +42,9 @@ class AnalysisConfig:
     ``lam`` accepts a float or one of the named divergences
     (hellinger, kl, cressie-read, pearson), resolved to its float when the
     config is built. Building a config also checks that ``alpha`` is a
-    number in (0, 1) and that ``metric``, ``output_format`` and
-    ``plot_axes`` are among their choices.
+    number in (0, 1), that ``dims`` are two distinct integers >= 1 (their
+    upper bound depends on the table), and that ``metric``,
+    ``output_format`` and ``plot_axes`` are among their choices.
     """
 
     lam: float = 1.0
@@ -58,6 +59,13 @@ class AnalysisConfig:
         object.__setattr__(self, "lam", resolve_lambda(self.lam))
         if not (isinstance(self.alpha, numbers.Real) and 0.0 < self.alpha < 1.0):
             raise InvalidAlphaError(f"alpha must be in (0, 1), got {self.alpha}")
+        if len(self.dims) != 2 or self.dims[0] == self.dims[1] or not all(
+            isinstance(d, numbers.Integral) and d >= 1 for d in self.dims
+        ):
+            raise DimensionOutOfRangeError(
+                f"plot dimensions must be two distinct integers >= 1, got {self.dims}"
+            )
+        object.__setattr__(self, "dims", (int(self.dims[0]), int(self.dims[1])))
         if self.plot_axes not in PLOT_AXES:
             raise InvalidParameterError(
                 f"axes must be rows, columns, or both, got {self.plot_axes!r}"
@@ -338,15 +346,11 @@ def _config_dict(config: AnalysisConfig) -> dict:
 
 
 def check_dims(dims: tuple[int, int], n_dims: int) -> tuple[int, int]:
-    d1, d2 = int(dims[0]), int(dims[1])
-    if d1 == d2:
-        raise DimensionOutOfRangeError(f"plot dimensions must be distinct, got {dims}")
-    for d in (d1, d2):
-        if not 1 <= d <= n_dims:
-            raise DimensionOutOfRangeError(
-                f"dimension {d} out of range 1..{n_dims}"
-            )
-    return d1, d2
+    """The config's plot dimensions, checked against the n_dims a table has."""
+    for d in dims:
+        if d > n_dims:
+            raise DimensionOutOfRangeError(f"dimension {d} out of range 1..{n_dims}")
+    return dims
 
 
 def _plot_svg(
@@ -454,10 +458,11 @@ def run_analyze(config: AnalysisConfig, table: ContingencyTable) -> AnalysisRepo
 def run_matched(
     config: AnalysisConfig, t1: ContingencyTable, t2: ContingencyTable
 ) -> AnalysisReport:
-    """Matched-pair pipeline: component SVDs merged into the block SVD, coordinates."""
+    """Matched-pair pipeline: component SVDs, their merged block values, coordinates."""
     analysis = build_matched(t1, t2, config.lam)
     coords = matched_coordinates(analysis, config.metric)
-    total_inertia = float(np.sum(analysis.block_svd.singular_values ** 2))
+    block_values = np.array([cls.singular_value for cls in analysis.dim_classes])
+    total_inertia = float(np.sum(block_values ** 2))
     report = AnalysisReport(
         command="matched",
         table={
@@ -468,7 +473,7 @@ def run_matched(
         config=_config_dict(config),
         matched={
             "lambda": analysis.lam,
-            "block_singular_values": _floats(analysis.block_svd.singular_values),
+            "block_singular_values": _floats(block_values),
             "sum_singular_values": _floats(analysis.svd_plus.singular_values),
             "difference_singular_values": _floats(analysis.svd_minus.singular_values),
             "dimension_classes": [

@@ -96,16 +96,6 @@ def parse_table_csv(source: str | IO[str]) -> ContingencyTable:
     return validate_table(labels, np.array(counts, dtype=np.int64))
 
 
-def serialize_table_csv(t: ContingencyTable) -> str:
-    """CSV form of a table; parse_table_csv inverts this exactly."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([""] + list(t.labels))
-    for label, row in zip(t.labels, t.counts):
-        writer.writerow([label] + [int(x) for x in row])
-    return out.getvalue()
-
-
 def parse_table_json(text: str) -> ContingencyTable:
     """Parse the JSON alternative body {"labels": [...], "counts": [[...]]}."""
     # besides bad syntax, json fails on nesting too deep and on an int past Python's digit limit

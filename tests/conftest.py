@@ -8,6 +8,8 @@ i S, so agreement between the two is a real cross-check, not a tautology.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -137,6 +139,30 @@ def oracle_plane_coords(p: np.ndarray, lam: float) -> np.ndarray:
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
     mu1 = math.sqrt(max(eigvals[0], 0.0))
     return oracle_metric_weights(p)[:, None] * eigvecs[:, :2] * mu1
+
+
+def oracle_reconstruct(svd) -> np.ndarray:
+    """U D V^T from a paired SVD's factors."""
+    return (svd.left_vectors * svd.singular_values) @ svd.right_vectors.T
+
+
+def oracle_block_rotation(n_dims: int) -> np.ndarray:
+    """J, the block-diagonal orthogonal skew matrix of [[0, 1], [-1, 0]] blocks."""
+    j = np.zeros((n_dims, n_dims))
+    for k in range(n_dims // 2):
+        j[2 * k, 2 * k + 1] = 1.0
+        j[2 * k + 1, 2 * k] = -1.0
+    return j
+
+
+def oracle_table_csv(table) -> str:
+    """A table's CSV form: a header with an empty corner cell, then one labelled row each."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([""] + list(table.labels))
+    for label, row in zip(table.labels, table.counts):
+        writer.writerow([label] + [int(x) for x in row])
+    return out.getvalue()
 
 
 def oracle_bowker(counts: np.ndarray) -> tuple[float, int]:

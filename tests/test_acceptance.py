@@ -15,13 +15,16 @@ from scipy import integrate
 
 from conftest import (
     one_sided,
+    oracle_block_rotation,
     oracle_bowker,
     oracle_metric_weights,
     oracle_origin_distances,
     oracle_phi_divergence_form,
     oracle_phi_total,
     oracle_plane_coords,
+    oracle_reconstruct,
     oracle_skew,
+    oracle_table_csv,
     random_table,
     record_criterion,
     symmetrized,
@@ -110,12 +113,13 @@ def test_criterion_3_decomposition_identities():
             phi = float(np.sum(np.asarray(s) ** 2))
             mu = dec.singular_values
             metric = np.diag(1.0 / dec.metric_weights**2)
+            rot = oracle_block_rotation(dec.n_dims)
             checks = [
                 abs(float(np.sum(mu**2)) - phi),
                 abs(float(np.trace(dec.row_coords.T @ metric @ dec.row_coords)) - phi),
                 abs(float(np.trace(dec.col_coords.T @ metric @ dec.col_coords)) - phi),
-                float(np.abs(dec.right_vectors - dec.left_vectors @ dec.svd.block_rotation.T).max()),
-                float(np.abs(dec.col_coords - dec.row_coords @ dec.svd.block_rotation.T).max()),
+                float(np.abs(dec.right_vectors - dec.left_vectors @ rot.T).max()),
+                float(np.abs(dec.col_coords - dec.row_coords @ rot.T).max()),
                 float(np.abs((dec.left_vectors * mu) @ dec.right_vectors.T - s).max()),
                 float(
                     np.abs(
@@ -287,23 +291,24 @@ def test_criterion_7_matched_reproduction(opinions):
     # structural gates hold regardless of the numeric search outcome
     gate_lam = matched_lam if matched_lam is not None else 1.0
     m = build_matched(t1, t2, gate_lam)
-    vals = m.block_svd.singular_values
+    block_svd = m.block_svd
+    vals = block_svd.singular_values
     pairs_equal = all(vals[2 * k] == vals[2 * k + 1] for k in range(len(vals) // 2))
     tags = [c.component for c in m.dim_classes]
     classification = tags == [
         "sum", "sum", "difference", "difference",
         "difference", "difference", "sum", "sum",
     ]
-    left = m.block_svd.left_vectors
+    left = block_svd.left_vectors
     half = m.size
     pattern = True
     for k, cls in enumerate(m.dim_classes):
         expected = left[:half, k] if cls.component == "sum" else -left[:half, k]
         pattern = pattern and bool(np.abs(left[half:, k] - expected).max() < 1e-10)
-    # the block SVD is assembled from the component SVDs, so the pattern
-    # above holds by construction; the block matrix itself is the oracle
+    # block_svd is the library's own paired SVD of the block, so the pattern
+    # above is a property of a real factorization; the block matrix is its oracle
     oracle = bool(
-        np.abs(m.block_svd.reconstruct() - m.block).max() < 1e-12
+        np.abs(oracle_reconstruct(block_svd) - m.block).max() < 1e-12
         and np.abs(vals - np.linalg.svd(m.block, compute_uv=False)).max() < 1e-12
     )
     structural = pairs_equal and classification and pattern and oracle
@@ -410,9 +415,7 @@ def test_criterion_9_region_coverage():
 
 def test_criterion_10_determinism(tmp_path, coffee):
     table_path = tmp_path / "coffee.csv"
-    from skewca.tableio import serialize_table_csv
-
-    table_path.write_text(serialize_table_csv(coffee), encoding="utf-8")
+    table_path.write_text(oracle_table_csv(coffee), encoding="utf-8")
     json_path = tmp_path / "report.json"
     svg_path = tmp_path / "plot.svg"
     args = [

@@ -263,11 +263,18 @@ def test_exit_code_2_for_bad_dims(capsys, coffee_csv, tmp_path):
     )
     assert code == 2
     assert "dimension" in err
+    distinct = "error: plot dimensions must be two distinct integers >= 1, got {}\n"
+    cfg = tmp_path / "dims.cfg"
     for dims, message in (
         ("1", "error: --dims expects two comma-separated dimensions, got '1'\n"),
         ("a,b", "error: --dims expects integers, got 'a,b'\n"),
+        # checked when the config is built, whether or not a plot is drawn
+        ("0,-3", distinct.format("(0, -3)")),
+        ("1,1", distinct.format("(1, 1)")),
     ):
         assert run_cli(capsys, "analyze", str(coffee_csv), "--dims", dims) == (2, "", message)
+        cfg.write_text(f"dims={dims}\n", encoding="utf-8")
+        assert run_cli(capsys, "analyze", str(coffee_csv), "--config", str(cfg)) == (2, "", message)
 
 
 def test_exit_code_3_for_diagonal_table(capsys, tmp_path):

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    oracle_block_rotation,
     oracle_origin_distances,
     oracle_phi_total,
     oracle_plane_coords,
+    oracle_reconstruct,
     oracle_skew,
     random_table,
     symmetrized,
@@ -17,8 +19,6 @@ from skewca import decomposition
 from skewca.decomposition import (
     ZERO_SINGULAR_RTOL,
     PairedSVD,
-    _completed,
-    block_rotation_matrix,
     decompose,
     default_lambda_grid,
     metric_weights,
@@ -110,7 +110,7 @@ def test_paired_svd_invariants_on_random_matrices(rng):
         for k in range(n_dims // 2):
             assert vals[2 * k] == vals[2 * k + 1]
         assert np.all(np.diff(vals[::2]) <= 1e-12)
-        assert np.abs(svd.reconstruct() - s).max() < 1e-10
+        assert np.abs(oracle_reconstruct(svd) - s).max() < 1e-10
         # values agree with LAPACK
         lapack = np.linalg.svd(s, compute_uv=False)[:n_dims]
         assert np.abs(np.sort(vals)[::-1] - lapack).max() < 1e-10
@@ -122,7 +122,7 @@ def test_reconstruction_on_large_random_tables(rng):
         p = to_probabilities(t)
         s = skew_matrix(p, 1.0)
         svd = paired_svd(np.asarray(s, dtype=float))
-        assert np.abs(svd.reconstruct() - s).max() < 1e-10
+        assert np.abs(oracle_reconstruct(svd) - s).max() < 1e-10
         assert float(np.sum(svd.singular_values**2)) == pytest.approx(
             float(np.sum(np.asarray(s) ** 2)), abs=1e-10
         )
@@ -142,7 +142,7 @@ def test_paired_svd_handles_repeated_singular_values(rng):
     s = 0.7 * (np.outer(basis[:, 0], basis[:, 1]) - np.outer(basis[:, 1], basis[:, 0]))
     s += 0.7 * (np.outer(basis[:, 2], basis[:, 3]) - np.outer(basis[:, 3], basis[:, 2]))
     svd = paired_svd(s)
-    assert np.abs(svd.reconstruct() - s).max() < 1e-12
+    assert np.abs(oracle_reconstruct(svd) - s).max() < 1e-12
     assert np.allclose(svd.singular_values[:4], 0.7, atol=1e-12)
     assert np.allclose(svd.singular_values[4:], 0.0, atol=1e-12)
 
@@ -165,7 +165,7 @@ def test_paired_svd_handles_repeated_singular_values(rng):
         left, vals = svd.left_vectors, svd.singular_values
         lapack = np.linalg.svd(s, compute_uv=False)[:n_dims]
         assert np.abs(vals - lapack).max() < 1e-10
-        assert np.abs(svd.reconstruct() - s).max() < 1e-10
+        assert np.abs(oracle_reconstruct(svd) - s).max() < 1e-10
         assert np.abs(left.T @ left - np.eye(n_dims)).max() < 1e-10
         right = svd.right_vectors
         assert np.abs(right.T @ right - np.eye(n_dims)).max() < 1e-10
@@ -222,13 +222,9 @@ def test_paired_svd_on_planted_spectra(planted):
     assert np.all(np.abs(vals - lapack)[kept] <= 1e-12 * top)
     assert np.all(lapack[~kept] <= (ZERO_SINGULAR_RTOL + 1e-12) * top)
     # reconstruction misses at most the values set to zero
-    assert np.abs(svd.reconstruct() - s).max() <= (ZERO_SINGULAR_RTOL + 1e-12) * top
+    assert np.abs(oracle_reconstruct(svd) - s).max() <= (ZERO_SINGULAR_RTOL + 1e-12) * top
     for vectors in (left, svd.right_vectors):
         assert np.abs(vectors.T @ vectors - np.eye(n_dims)).max() < 1e-12
-    # the completion to a full basis that the matched block SVD uses
-    full = _completed(left, size)
-    assert np.array_equal(full[:, :n_dims], left)
-    assert np.abs(full.T @ full - np.eye(size)).max() < 1e-12
 
 
 def test_paired_svd_zero_matrix():
@@ -236,19 +232,6 @@ def test_paired_svd_zero_matrix():
     assert svd.n_dims == 4
     assert np.all(svd.singular_values == 0.0)
     assert np.abs(svd.left_vectors.T @ svd.left_vectors - np.eye(4)).max() < 1e-14
-
-
-def test_block_rotation_matrix_shape():
-    j = block_rotation_matrix(4)
-    assert np.array_equal(j, np.array([
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
-    ]))
-    assert np.array_equal(j @ j.T, np.eye(4))
-    with pytest.raises(InvalidParameterError):
-        block_rotation_matrix(3)
 
 
 def test_right_vectors_are_the_rotation_product_bit_for_bit(rng):
@@ -260,7 +243,7 @@ def test_right_vectors_are_the_rotation_product_bit_for_bit(rng):
         lefts.append(decompose(skew_matrix(p, 1.0), p).left_vectors)
     for left in lefts:
         right = PairedSVD(left_vectors=left, singular_values=np.zeros(left.shape[1])).right_vectors
-        product = left @ block_rotation_matrix(left.shape[1]).T
+        product = left @ oracle_block_rotation(left.shape[1]).T
         assert np.array_equal(right, product)
         assert np.array_equal(np.signbit(right), np.signbit(product))
 
@@ -310,7 +293,7 @@ def test_decomposition_identities(coffee, rng):
             phi = float(np.sum(np.asarray(s) ** 2))
             mu = dec.singular_values
             left, right = dec.left_vectors, dec.right_vectors
-            rot = dec.svd.block_rotation
+            rot = oracle_block_rotation(dec.n_dims)
             metric = np.diag(1.0 / dec.metric_weights**2)
             # inertia identities
             assert dec.total_inertia == pytest.approx(phi, abs=1e-10)
@@ -467,21 +450,25 @@ def test_scan_rejects_bad_grid(coffee):
 
 
 def per_point_scan(t, grid, metric="averaged"):
-    """Contributions and inertias from a full decomposition at every grid point."""
+    """Contributions and inertias from a full decomposition at every grid point,
+    and the measure Phi there."""
     p = to_probabilities(t)
-    contribs, inertias = [], []
+    contribs, inertias, measures = [], [], []
     for lam in grid:
         dec = decompose(skew_matrix(p, float(lam)), p, metric)
         ratios = dec.contributions
         contribs.append(float(ratios[0] + ratios[1]))
         inertias.append(dec.total_inertia)
-    return np.array(contribs), np.array(inertias)
+        measures.append(asymmetry_measure(p, float(lam)).phi_total)
+    return np.array(contribs), np.array(inertias), np.array(measures)
 
 
 def assert_scan_matches_per_point(result, t, grid):
-    contribs, inertias = per_point_scan(t, grid)
+    contribs, inertias, measures = per_point_scan(t, grid)
     assert np.abs(np.array(result.contributions) - contribs).max() <= 1e-12 * 100.0
     assert np.abs(np.array(result.inertias) - inertias).max() <= 1e-12
+    # the scan's inertias are the measure kernel's totals, Phi itself
+    assert np.array_equal(result.inertias, measures)
     best = int(np.argmax(contribs >= contribs.max() - 1e-9))
     assert result.best_lambda == float(grid[best])
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_table
+from conftest import oracle_reconstruct, random_table
 from skewca.errors import CountOverflowError, DimensionMismatchError, LabelMismatchError
 from skewca.matched import build_matched, matched_coordinates
 from skewca.table import validate_table
@@ -65,21 +65,44 @@ def test_transposed_pair_kills_the_sum_component(rng):
 
 
 def test_block_values_union_property(rng):
+    checked = 0
     for draw in range(201):
         size = int(rng.integers(3, 6)) if draw < 200 else 5  # plus one odd size for sure
         t1 = random_table(rng, size)
         t2 = validate_table(t1.labels, random_table(rng, size).counts)
         m = build_matched(t1, t2, 1.0)
-        block_vals = np.sort(m.block_svd.singular_values)
+        block_svd = m.block_svd
+        block_vals = np.sort(block_svd.singular_values)
         pooled = np.zeros(2 * size)
         pooled[: m.svd_plus.n_dims] = m.svd_plus.singular_values
         pooled[size : size + m.svd_minus.n_dims] = m.svd_minus.singular_values
         assert np.abs(block_vals - np.sort(pooled)).max() < 1e-9
-        assert np.all(np.diff(m.block_svd.singular_values) <= 1e-12)
-        # the block matrix is the oracle for the assembled block SVD
-        assert np.abs(m.block_svd.reconstruct() - m.block).max() < 1e-12
+        assert np.all(np.diff(block_svd.singular_values) <= 1e-12)
+        assert np.abs(oracle_reconstruct(block_svd) - m.block).max() < 1e-12
         oracle = np.linalg.svd(m.block, compute_uv=False)
-        assert np.abs(m.block_svd.singular_values - oracle).max() < 1e-12
+        assert np.abs(block_svd.singular_values - oracle).max() < 1e-12
+        # with no sum value equal to a difference value, each block pair lies in the sum
+        # or the difference subspace, and the closed-form coordinates are the block
+        # SVD's first-block coordinates up to the pair's sign
+        plus, minus = m.svd_plus.singular_values, m.svd_minus.singular_values
+        if np.abs(plus[:, None] - minus[None, :]).min() < 1e-6:
+            continue
+        checked += 1
+        coords = matched_coordinates(m, "identity")
+        for component in ("sum", "difference"):
+            dims = [k for k, cls in enumerate(m.dim_classes) if cls.component == component]
+            left, right = block_svd.left_vectors, block_svd.right_vectors
+            for side, vectors in (("rows", left), ("cols", right)):
+                expected = vectors[:size, dims] * block_svd.singular_values[dims]
+                ours = getattr(coords, f"{component}_{side}")
+                for k in range(0, size, 2):
+                    pair = slice(k, k + 2)
+                    gap = min(
+                        np.abs(ours[:, pair] - expected[:, pair]).max(),
+                        np.abs(ours[:, pair] + expected[:, pair]).max(),
+                    )
+                    assert gap < 1e-10, (draw, component, side, k)
+    assert checked >= 190
 
 
 def test_skew_closure(rng):
@@ -164,8 +187,9 @@ def test_opinion_block_vector_pattern(opinions):
             assert np.abs(bottom - top).max() < 1e-10
         else:
             assert np.abs(bottom + top).max() < 1e-10
-    # the pattern holds by construction; the block matrix is the oracle
-    assert np.abs(m.block_svd.reconstruct() - m.block).max() < 1e-12
+    # the pattern above is read from the block's own paired SVD, and the block
+    # matrix is the oracle for that factorization
+    assert np.abs(oracle_reconstruct(m.block_svd) - m.block).max() < 1e-12
     oracle = np.linalg.svd(m.block, compute_uv=False)
     assert np.abs(m.block_svd.singular_values - oracle).max() < 1e-12
 

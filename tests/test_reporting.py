@@ -45,6 +45,8 @@ def test_resolve_lambda_named_values():
 def test_config_checks_its_fields():
     assert AnalysisConfig(lam="kl").lam == 0.0
     assert AnalysisConfig(lam="0.25").lam == 0.25
+    # numpy integers become ints, which the report writer takes
+    assert list(map(type, AnalysisConfig(dims=(np.int64(2), np.int32(1))).dims)) == [int, int]
     for kwargs, error in (
         ({"alpha": 7.0, "metric": "identity"}, InvalidAlphaError),
         ({"alpha": 0.0}, InvalidAlphaError),
@@ -55,6 +57,10 @@ def test_config_checks_its_fields():
         ({"metric": "weird"}, InvalidParameterError),
         ({"output_format": "yaml"}, InvalidParameterError),
         ({"plot_axes": "up"}, InvalidParameterError),
+        ({"dims": (0, -3)}, DimensionOutOfRangeError),
+        ({"dims": (1, 1)}, DimensionOutOfRangeError),
+        ({"dims": (1.0, 2.0)}, DimensionOutOfRangeError),
+        ({"dims": (1, 2, 3)}, DimensionOutOfRangeError),
         ({"lam": -5.0}, LambdaOutOfRangeError),
         ({"lam": "bogus"}, InputError),
     ):
@@ -203,9 +209,9 @@ def test_svg_dims_validation(coffee):
     config = AnalysisConfig(lam=1.0, svg_path="unused.svg", dims=(1, 9))
     with pytest.raises(DimensionOutOfRangeError):
         run_analyze(config, coffee)
-    config = AnalysisConfig(lam=1.0, svg_path="unused.svg", dims=(2, 2))
+    # dims that no table has are rejected when the config is built
     with pytest.raises(DimensionOutOfRangeError):
-        run_analyze(config, coffee)
+        AnalysisConfig(lam=1.0, svg_path="unused.svg", dims=(2, 2))
 
 
 def test_matched_report(opinions, tmp_path):
