@@ -189,6 +189,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _build_config(args)
+        output = getattr(args, "output", None)
+        if output and config.output_format == "csv" and Path(output).suffix == ".json":
+            raise InputError(
+                f"a CSV report to {output!r} would be overwritten by its JSON companion"
+            )
         if args.command == "analyze":
             report = run_analyze(config, load_table(args.table))
         elif args.command == "matched":
@@ -198,7 +203,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             grid = _parse_grid(args.grid) if args.grid else None
             report = run_scan(config, load_table(args.table), grid)
-        _emit(report, config, getattr(args, "output", None))
+        _emit(report, config, output)
     except (InputError, OSError) as exc:
         # every path the CLI opens was named by the user
         print(f"error: {exc}", file=sys.stderr)

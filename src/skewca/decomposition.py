@@ -11,9 +11,10 @@ left/right singular vectors are linked by a block rotation: with J the
 block-diagonal matrix of 2x2 blocks [[0, 1], [-1, 0]], the SVD can be
 written S = A D J A^T with right vectors B = A J^T. We exploit that
 structure instead of computing independent factors: one Hermitian
-eigensolve of i S yields every pair plane at once, pairing then holds
-exactly, and the rotation ambiguity inside each equal-singular-value
-plane is fixed by an explicit canonical orientation.
+eigensolve of i S yields every pair plane at once, one QR orthonormalizes
+the pairs in order and completes the basis, pairing then holds exactly,
+and the rotation ambiguity inside each equal-singular-value plane is
+fixed by an explicit canonical orientation.
 """
 
 from __future__ import annotations
@@ -142,24 +143,25 @@ def _skew_stack(p: ProbabilityTable, upper: np.ndarray, cells: np.ndarray) -> np
     return stack
 
 
-def _canonical_sign(vec: np.ndarray) -> np.ndarray:
-    """Flip so the largest-magnitude entry is positive (ties: lowest index)."""
-    return -vec if vec[int(np.argmax(np.abs(vec)))] < 0 else vec
+def _oriented(cols: np.ndarray) -> np.ndarray:
+    """Each column times the unit phase that makes its first largest-magnitude entry positive."""
+    pivots = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])]
+    return cols * (np.abs(pivots) / pivots)
 
 
 def paired_svd(skew: np.ndarray) -> PairedSVD:
     """Canonically oriented paired SVD of a skew-symmetric matrix.
 
-    i S is Hermitian with eigenvalues +-mu; the real and imaginary parts
-    of a +mu eigenvector span the plane of one singular pair, even inside
-    clusters of equal values. The eigenvector's phase is fixed so that
-    the category with the greatest in-plane mass gets a positive and
-    maximal first coordinate (ties to the lowest index); the second
-    vector is the image -S a / mu, which makes the pairing and the
-    block-rotation link to the right vectors exact. Pairs below
-    ZERO_SINGULAR_RTOL of the largest value are structural zeros, filled
-    with a canonically signed orthonormal completion of the retained
-    vectors; for odd R the single leftover null vector is dropped.
+    i S is Hermitian with eigenvalues +-mu; the real part a of a +mu
+    eigenvector, its phase fixed by ``_oriented``, and its image -S a span
+    the plane of one singular pair, even inside clusters of equal values.
+    One Householder QR of [a_1, -S a_1, a_2, -S a_2, ...] with a positive
+    diagonal is Gram-Schmidt in column order: it orthonormalizes the
+    pairs in order, each keeping its plane and orientation, so pairing
+    and the rotation link to the right vectors are exact, and its
+    trailing columns, each ``_oriented``, complete the basis. Pairs below
+    ZERO_SINGULAR_RTOL of the largest value are structural zeros spanned
+    by that completion; for odd R the leftover null vector is dropped.
     """
     size = skew.shape[0]
     eigenvalues, vecs = np.linalg.eigh(1j * skew)
@@ -167,25 +169,13 @@ def paired_svd(skew: np.ndarray) -> PairedSVD:
     mus, vecs = eigenvalues[::-1][: size // 2], vecs[:, ::-1]
     mus = np.where(mus > ZERO_SINGULAR_RTOL * mus[:1], mus, 0.0)
     n_kept = int(np.count_nonzero(mus))
-    left = np.zeros((size, 2 * n_kept))
-    for k in range(n_kept):
-        u = vecs[:, k]
-        pivot = int(np.argmax(np.abs(u)))
-        first = (u * (abs(u[pivot]) / u[pivot])).real
-        # re-orthogonalize against the built pairs: over spectra spread across
-        # many decades eigenvectors of tiny values lose orthogonality otherwise
-        done = left[:, : 2 * k]
-        first -= done @ (done.T @ first)
-        first /= np.linalg.norm(first)
-        second = -skew @ first
-        second -= done @ (done.T @ second) + (first @ second) * first
-        second /= np.linalg.norm(second)
-        left[:, 2 * k], left[:, 2 * k + 1] = first, second
-    n_dims = size - size % 2
-    if n_kept < n_dims // 2:
-        basis = np.linalg.qr(left, mode="complete")[0]
-        extra = [_canonical_sign(basis[:, c]) for c in range(2 * n_kept, n_dims)]
-        left = np.column_stack([left, *extra])
+    pairs = np.empty((size, 2 * n_kept))
+    pairs[:, 0::2] = _oriented(vecs[:, :n_kept]).real
+    pairs[:, 1::2] = -skew @ pairs[:, 0::2]
+    basis, tri = np.linalg.qr(pairs, mode="complete")
+    left = basis[:, : size - size % 2]
+    left[:, : 2 * n_kept] *= np.copysign(1.0, np.diag(tri))
+    left[:, 2 * n_kept :] = _oriented(left[:, 2 * n_kept :])
     return PairedSVD(left_vectors=_frozen(left), singular_values=_frozen(np.repeat(mus, 2)))
 
 
@@ -206,6 +196,11 @@ def metric_weights(p: ProbabilityTable, metric: str) -> np.ndarray:
     return np.where(margins > 0.0, margins, 1.0) ** -0.5
 
 
+def _shares(values: np.ndarray, inertia: float) -> np.ndarray:
+    """Percent of ``inertia`` in each value's square; all 0 when the inertia is 0."""
+    return 100.0 * values**2 / inertia if inertia > 0.0 else np.zeros(len(values))
+
+
 def decompose(s: np.ndarray, p: ProbabilityTable, metric: str = "averaged") -> SymmetryDecomposition:
     """Principal coordinates, inertia, and contributions of a skew matrix.
 
@@ -220,10 +215,6 @@ def decompose(s: np.ndarray, p: ProbabilityTable, metric: str = "averaged") -> S
     col = inv_root * svd.right_vectors * svd.singular_values[None, :]
     inertia = float(np.sum(svd.singular_values**2))
     fully_symmetric = not np.any(s)
-    if inertia > 0.0:
-        contributions = 100.0 * svd.singular_values**2 / inertia
-    else:
-        contributions = np.zeros(svd.n_dims)
     return SymmetryDecomposition(
         labels=p.labels,
         metric=metric,
@@ -232,7 +223,7 @@ def decompose(s: np.ndarray, p: ProbabilityTable, metric: str = "averaged") -> S
         row_coords=_frozen(row),
         col_coords=_frozen(col),
         total_inertia=inertia,
-        contributions=_frozen(contributions),
+        contributions=_frozen(_shares(svd.singular_values, inertia)),
         fully_symmetric=fully_symmetric,
     )
 

@@ -17,6 +17,7 @@ import numpy as np
 from .confidence import ConfidenceRegion, confidence_regions
 from .decomposition import (
     METRICS,
+    _shares,
     decompose,
     origin_distances,
     scan_lambda,
@@ -491,7 +492,9 @@ def run_matched(
             "difference_cols": _matrix(coords.difference_cols),
             "block_total_inertia": total_inertia,
         },
-        warnings=[],
+        warnings=[]
+        if total_inertia > 0.0
+        else ["both tables are fully symmetric: all coordinates sit at the origin"],
     )
     if config.svg_path:
         base = Path(config.svg_path)
@@ -501,7 +504,7 @@ def run_matched(
                 analysis.labels,
                 getattr(coords, f"{component}_rows"),
                 getattr(coords, f"{component}_cols"),
-                [100.0 * float(v) ** 2 / total_inertia for v in values],
+                _shares(values, total_inertia),
                 component,
                 config,
             )

@@ -187,6 +187,15 @@ def random_table(rng: np.random.Generator, size: int, high: int = 30):
             return validate_table(labels, counts)
 
 
+def planted_skew(basis, values):
+    """Sum of mu_k (q_2k q_2k+1^T - q_2k+1 q_2k^T) over orthonormal columns q."""
+    s = np.zeros((basis.shape[0], basis.shape[0]))
+    for k, mu in enumerate(values):
+        a, b = basis[:, 2 * k], basis[:, 2 * k + 1]
+        s += mu * (np.outer(a, b) - np.outer(b, a))
+    return s
+
+
 def symmetrized(table):
     return validate_table(table.labels, table.counts + table.counts.T)
 

@@ -81,6 +81,20 @@ def test_csv_output_with_json_companion(capsys, coffee_csv, tmp_path):
     assert report["command"] == "analyze"
 
 
+def test_csv_output_to_a_json_path_is_rejected_before_writing(capsys, coffee_csv, tmp_path):
+    # the JSON companion of rep.json is rep.json itself, so the CSV would be lost
+    out_path, svg_path = tmp_path / "rep.json", tmp_path / "p.svg"
+    code, out, err = run_cli(
+        capsys, "analyze", str(coffee_csv), "--format", "csv", "-o", str(out_path),
+        "--svg", str(svg_path),
+    )
+    assert code == 2
+    assert out == ""
+    message = f"a CSV report to {str(out_path)!r} would be overwritten by its JSON companion"
+    assert err == f"error: {message}\n"
+    assert not out_path.exists() and not svg_path.exists()
+
+
 def test_bowker_command(capsys, coffee_csv):
     code, out, _ = run_cli(capsys, "bowker", str(coffee_csv))
     assert code == 0
@@ -114,6 +128,21 @@ def test_matched_command(capsys, tmp_path):
     assert report["config"]["metric"] == "identity"
     assert (tmp_path / "gss_sum.svg").exists()
     assert (tmp_path / "gss_difference.svg").exists()
+
+
+def test_matched_command_on_two_symmetric_tables(capsys, tmp_path):
+    table = tmp_path / "sym.csv"
+    table.write_text(",a,b,c\na,5,3,2\nb,3,4,1\nc,2,1,6\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "matched", str(table), str(table), "--svg", str(tmp_path / "m.svg")
+    )
+    assert code == 0, err
+    report = json.loads(out)
+    warning = "both tables are fully symmetric: all coordinates sit at the origin"
+    assert report["warnings"] == [warning]
+    assert report["matched"]["block_singular_values"] == [0.0] * 6
+    assert (tmp_path / "m_sum.svg").exists()
+    assert (tmp_path / "m_difference.svg").exists()
 
 
 def test_config_file_and_override(capsys, coffee_csv, tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ from conftest import (
     oracle_plane_coords,
     oracle_reconstruct,
     oracle_skew,
+    planted_skew,
     random_table,
     symmetrized,
 )
@@ -128,15 +129,6 @@ def test_reconstruction_on_large_random_tables(rng):
         )
 
 
-def planted_skew(basis, values):
-    """Sum of mu_k (q_2k q_2k+1^T - q_2k+1 q_2k^T) over orthonormal columns q."""
-    s = np.zeros((basis.shape[0], basis.shape[0]))
-    for k, mu in enumerate(values):
-        a, b = basis[:, 2 * k], basis[:, 2 * k + 1]
-        s += mu * (np.outer(a, b) - np.outer(b, a))
-    return s
-
-
 def test_paired_svd_handles_repeated_singular_values(rng):
     basis = np.linalg.qr(rng.normal(size=(6, 4)))[0]
     s = 0.7 * (np.outer(basis[:, 0], basis[:, 1]) - np.outer(basis[:, 1], basis[:, 0]))
@@ -182,14 +174,17 @@ def planted_spectra(draw):
     """(orthonormal basis, pair values) for R = 2..11, the values largest first.
 
     Each value below the largest is drawn relative to it: anywhere in
-    [0, 1], tied with it, clustered within 1e-9 of it, or near and below
-    the structural-zero threshold ZERO_SINGULAR_RTOL.
+    [0, 1], tied with it, clustered within 1e-9 of it, clustered in
+    [1.5e-10, 1e-8] of it (just above the structural-zero threshold
+    ZERO_SINGULAR_RTOL, where orthogonality is hardest to keep), or near
+    and below that threshold.
     """
     size = draw(st.integers(2, 11))
     relative = st.one_of(
         st.floats(0.0, 1.0),
         st.just(1.0),
         st.floats(1.0 - 1e-9, 1.0),
+        st.floats(1.5e-10, 1e-8),
         st.sampled_from([1e-8, 1e-9, 2e-10, 1e-10, 5e-11, 1e-13, 0.0]),
     )
     rest = draw(st.lists(relative, min_size=size // 2 - 1, max_size=size // 2 - 1))
@@ -232,6 +227,21 @@ def test_paired_svd_zero_matrix():
     assert svd.n_dims == 4
     assert np.all(svd.singular_values == 0.0)
     assert np.abs(svd.left_vectors.T @ svd.left_vectors - np.eye(4)).max() < 1e-14
+
+
+def test_paired_svd_orients_every_column(rng):
+    # kept pairs and the completion that spans the structural zeros follow one rule:
+    # a pair's first vector and each completion column have a positive first
+    # largest-magnitude entry
+    for size in range(3, 10):
+        for rank in range(size // 2):
+            basis = np.linalg.qr(rng.normal(size=(size, size)))[0]
+            svd = paired_svd(planted_skew(basis, rng.uniform(0.5, 1.0, size=rank)))
+            left, vals = svd.left_vectors, svd.singular_values
+            assert np.count_nonzero(vals) == 2 * rank
+            oriented = list(range(0, 2 * rank, 2)) + list(range(2 * rank, svd.n_dims))
+            for c in oriented:
+                assert left[np.argmax(np.abs(left[:, c])), c] > 0.0, (size, rank, c)
 
 
 def test_right_vectors_are_the_rotation_product_bit_for_bit(rng):

@@ -1,7 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import oracle_reconstruct, random_table
+from conftest import oracle_reconstruct, planted_skew, random_table
+from skewca import matched
 from skewca.errors import CountOverflowError, DimensionMismatchError, LabelMismatchError
 from skewca.matched import build_matched, matched_coordinates
 from skewca.table import validate_table
@@ -103,6 +108,58 @@ def test_block_values_union_property(rng):
                     )
                     assert gap < 1e-10, (draw, component, side, k)
     assert checked >= 190
+
+
+@st.composite
+def near_tied_components(draw):
+    """(S1, S2) for R = 2..10 whose sum and difference values tie or nearly tie.
+
+    S+ and S- are planted on independent random bases. S+ takes pair values
+    in [0.01, 1]; each S- value is one of them times 1 + eps, with eps 0,
+    +-1e-15, +-1e-12, +-1e-9 or +-1e-6, or is drawn on its own from 0 and
+    [0.01, 1], away from the structural-zero threshold. In about half the
+    draws S- is S+ itself, so S2 is zero and every tie is exact in floating
+    point. S1 = (S+ + S-) / 2 and S2 = (S+ - S-) / 2.
+    """
+    size = draw(st.integers(2, 10))
+    n_pairs = size // 2
+    plus = draw(st.lists(st.floats(0.01, 1.0), min_size=n_pairs, max_size=n_pairs))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s_plus = planted_skew(np.linalg.qr(rng.normal(size=(size, size)))[0], plus)
+    if draw(st.booleans()):
+        s_minus = s_plus
+    else:
+        eps = st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6])
+        tied = st.tuples(st.sampled_from(plus), eps).map(lambda v: v[0] * (1.0 + v[1]))
+        value = tied | st.just(0.0) | st.floats(0.01, 1.0)
+        minus = draw(st.lists(value, min_size=n_pairs, max_size=n_pairs))
+        s_minus = planted_skew(np.linalg.qr(rng.normal(size=(size, size)))[0], minus)
+    return (s_plus + s_minus) / 2.0, (s_plus - s_minus) / 2.0
+
+
+@given(near_tied_components())
+@settings(max_examples=200, deadline=None)
+def test_block_values_merge_near_tied_components(components):
+    # the tables only carry the labels and the pooling: the planted skew
+    # matrices stand in for the two tables' own
+    s1, s2 = components
+    size = s1.shape[0]
+    table = validate_table([f"c{k}" for k in range(size)], np.ones((size, size), dtype=int))
+    with mock.patch.object(matched, "skew_matrix", side_effect=[s1, s2]):
+        m = build_matched(table, table, 1.0)
+    merged = np.array([cls.singular_value for cls in m.dim_classes])
+    block_svd = m.block_svd
+    top = float(merged[0])
+    assert np.abs(block_svd.singular_values - merged).max() <= 1e-12 * top
+    left = block_svd.left_vectors
+    assert np.abs(left.T @ left - np.eye(2 * size)).max() <= 1e-12
+    assert np.abs(oracle_reconstruct(block_svd) - m.block).max() <= 1e-12 * top
+    tags = [cls.component for cls in m.dim_classes]
+    assert tags.count("sum") == tags.count("difference") == size
+    # the merge is stable, so within a run of exactly equal values every sum comes first
+    for k in range(2 * size - 1):
+        if merged[k] == merged[k + 1]:
+            assert (tags[k], tags[k + 1]) != ("difference", "sum"), k
 
 
 def test_skew_closure(rng):

@@ -233,6 +233,18 @@ def test_matched_report(opinions, tmp_path):
     assert again.to_dict() == report.to_dict()
 
 
+def test_matched_report_on_two_symmetric_tables(tmp_path):
+    # the block inertia is 0, so every share is 0, as in decompose, instead of a division
+    symmetric = validate_table(list("abc"), [[5, 3, 2], [3, 4, 1], [2, 1, 6]])
+    config = AnalysisConfig(svg_path=str(tmp_path / "m.svg"))
+    report = run_matched(config, symmetric, symmetric)
+    assert report.matched["block_total_inertia"] == 0.0
+    assert report.warnings == ["both tables are fully symmetric: all coordinates sit at the origin"]
+    for component in ("sum", "difference"):
+        svg = (tmp_path / f"m_{component}.svg").read_text(encoding="utf-8")
+        assert f"{component} axis 1 (0.00%)" in svg and f"{component} axis 2 (0.00%)" in svg
+
+
 def test_matched_csv(opinions):
     t1, t2 = opinions
     size = t1.size
