@@ -1,9 +1,9 @@
-"""Chi-square CDF, upper tail and quantile.
+"""Chi-square CDF, upper tail and quantile, in-house so golden outputs stay bit-stable.
 
-Implemented in-house on top of the regularized incomplete gamma functions
-(series expansion of the lower one for small arguments, Lentz continued
-fraction of the upper one for large), so golden outputs stay bit-stable
-across library versions.
+One split gives both tails: below x = dof + 2 the power series of the
+regularized lower incomplete gamma P gives the CDF, from there the Lentz
+continued fraction of the upper Q gives the tail, and the other is 1 minus
+it. The quantile takes Newton steps on log sf, safeguarded by a bracket.
 """
 
 from __future__ import annotations
@@ -32,11 +32,8 @@ def _gamma_prefix(a: float, x: float) -> float:
 
 
 def _lower_gamma_series(a: float, x: float) -> float:
-    """Regularized P(a, x) by the power series, for x < a + 1."""
-    if x == 0.0:
-        return 0.0
-    term = 1.0 / a
-    total = term
+    """Regularized P(a, x) by the power series, for 0 < x < a + 1."""
+    term = total = 1.0 / a
     denom = a
     for _ in range(_max_terms(a)):
         denom += 1.0
@@ -52,8 +49,7 @@ def _upper_gamma_cf(a: float, x: float) -> float:
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
+    d = h = 1.0 / b
     for i in range(1, _max_terms(a) + 1):
         an = -i * (i - a)
         b += 2.0
@@ -71,97 +67,71 @@ def _upper_gamma_cf(a: float, x: float) -> float:
     return h * _gamma_prefix(a, x)
 
 
-def regularized_gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma function P(a, x)."""
-    if a <= 0.0:
-        raise ValueError("shape parameter must be positive")
-    if x < 0.0:
-        raise ValueError("argument must be non-negative")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return min(_lower_gamma_series(a, x), 1.0)
-    return max(1.0 - _upper_gamma_cf(a, x), 0.0)
+def _tails(dof: int, x: float) -> tuple[float, float]:
+    """(CDF, upper tail) at x, from the one split the module docstring describes."""
+    if dof < 1:
+        raise InvalidDofError(f"dof must be >= 1, got {dof}")
+    if x <= 0.0:
+        return 0.0, 1.0
+    if x < dof + 2.0:
+        cdf = min(_lower_gamma_series(dof / 2.0, x / 2.0), 1.0)
+        return cdf, 1.0 - cdf
+    tail = _upper_gamma_cf(dof / 2.0, x / 2.0)
+    return max(1.0 - tail, 0.0), tail
 
 
 def chi_square_cdf(dof: int, x: float) -> float:
     """CDF of the chi-square distribution with ``dof`` degrees of freedom."""
-    if dof < 1:
-        raise InvalidDofError(f"dof must be >= 1, got {dof}")
-    if x < 0.0:
-        return 0.0
-    return regularized_gamma_p(dof / 2.0, x / 2.0)
+    return _tails(dof, x)[0]
 
 
 def chi_square_sf(dof: int, x: float) -> float:
-    """Upper tail 1 - CDF. From x = dof + 2 on it is the continued fraction itself,
-    which keeps its relative accuracy far below 1e-16, where 1 - CDF reads 0."""
-    if dof >= 1 and x >= dof + 2.0:
-        return _upper_gamma_cf(dof / 2.0, x / 2.0)
-    return 1.0 - chi_square_cdf(dof, x)
-
-
-def _chi_square_pdf(dof: int, x: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    half = dof / 2.0
-    return math.exp((half - 1.0) * math.log(x) - x / 2.0 - half * math.log(2.0) - math.lgamma(half))
+    """Upper tail 1 - CDF; from x = dof + 2 on it keeps its relative accuracy far
+    below 1e-16, where 1 - CDF reads 0."""
+    return _tails(dof, x)[1]
 
 
 def _normal_upper_quantile(alpha: float) -> float:
     """z with P(Z > z) = alpha, via a low-order rational fit (initial guesses only)."""
-    if alpha == 0.5:
-        return 0.0
-    if alpha > 0.5:
-        return -_normal_upper_quantile(1.0 - alpha)
-    # Hastings-style approximation; percent-level accuracy suffices here
-    t = math.sqrt(-2.0 * math.log(alpha))
-    return t - (2.515517 + 0.802853 * t + 0.010328 * t * t) / (
+    # Hastings-style approximation from the smaller tail; percent-level accuracy suffices here
+    t = math.sqrt(-2.0 * math.log(min(alpha, 1.0 - alpha)))
+    z = t - (2.515517 + 0.802853 * t + 0.010328 * t * t) / (
         1.0 + 1.432788 * t + 0.189269 * t * t + 0.001308 * t**3
     )
+    return z if alpha < 0.5 else -z
 
 
 def chi_square_quantile(dof: int, alpha: float) -> float:
     """Upper-alpha point: q with chi_square_sf(q) = alpha.
 
-    Starts from the Wilson-Hilferty cube approximation, brackets the root,
-    and polishes with bisection-safeguarded Newton steps on the upper tail,
-    or on its log while the tail exceeds 2 alpha: far from a tiny alpha's
-    quantile a step on the tail itself moves x by only about 2.
+    Starts from the Wilson-Hilferty cube approximation and takes Newton steps
+    on log sf, which moves x by its full distance to the root even where the
+    tail is far from alpha. Each tail narrows the bracket (lo, hi) around the
+    root; a step that leaves it doubles x while hi is unbounded and bisects
+    once it is not. It stops when the step or the bracket is below 1e-15 x.
     """
     if dof < 1:
         raise InvalidDofError(f"dof must be >= 1, got {dof}")
     if not 0.0 < alpha < 1.0:
         raise InvalidAlphaError(f"alpha must be in (0, 1), got {alpha}")
     z = _normal_upper_quantile(alpha)
-    wh = dof * (1.0 - 2.0 / (9.0 * dof) + z * math.sqrt(2.0 / (9.0 * dof))) ** 3
-    guess = max(wh, 1e-8)
-    lo, hi = 0.0, guess
-    while chi_square_sf(dof, hi) > alpha:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e12:
-            raise ArithmeticError("failed to bracket the chi-square quantile")
-    x = min(max(guess, lo), hi)
+    x = max(dof * (1.0 - 2.0 / (9.0 * dof) + z * math.sqrt(2.0 / (9.0 * dof))) ** 3, 1e-8)
+    lo, hi = 0.0, math.inf
     for _ in range(200):
         tail = chi_square_sf(dof, x)
-        f = alpha - tail
-        if f > 0.0:
-            hi = x
-        else:
+        if tail > alpha:
             lo = x
-        df = _chi_square_pdf(dof, x)
-        step_ok = df > 0.0
-        if step_ok:
-            if tail > 2.0 * alpha:
-                nxt = x + math.log(tail / alpha) * tail / df
-            else:
-                nxt = x - f / df
-            step_ok = lo < nxt < hi
-        if not step_ok:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - x) <= 1e-15 * max(1.0, x):
-            x = nxt
-            break
+        else:
+            hi = x
+        # the density is the gamma prefix at x / 2 over x; either it or the tail can
+        # underflow to 0 (an overshoot far into the tail), and NaN then means no step
+        density = _gamma_prefix(dof / 2.0, x / 2.0) / x
+        nxt = x + math.log(tail / alpha) * tail / density if tail > 0.0 and density > 0.0 else math.nan
+        if abs(nxt - x) <= 1e-15 * x:
+            return nxt
+        if not lo < nxt < hi:
+            nxt = 2.0 * x if hi == math.inf else 0.5 * (lo + hi)
+        if hi - lo <= 1e-15 * x:
+            return nxt
         x = nxt
     return x

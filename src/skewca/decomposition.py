@@ -149,6 +149,11 @@ def _oriented(cols: np.ndarray) -> np.ndarray:
     return cols * (np.abs(pivots) / pivots)
 
 
+def _structural_zeros(values: np.ndarray, largest: np.ndarray | float) -> np.ndarray:
+    """``values`` with each one at or below ZERO_SINGULAR_RTOL of ``largest`` set to 0."""
+    return np.where(values > ZERO_SINGULAR_RTOL * largest, values, 0.0)
+
+
 def paired_svd(skew: np.ndarray) -> PairedSVD:
     """Canonically oriented paired SVD of a skew-symmetric matrix.
 
@@ -167,7 +172,7 @@ def paired_svd(skew: np.ndarray) -> PairedSVD:
     eigenvalues, vecs = np.linalg.eigh(1j * skew)
     # eigh sorts ascending: reversed, the first R // 2 eigenvalues are the pair values mu
     mus, vecs = eigenvalues[::-1][: size // 2], vecs[:, ::-1]
-    mus = np.where(mus > ZERO_SINGULAR_RTOL * mus[:1], mus, 0.0)
+    mus = _structural_zeros(mus, mus[:1])
     n_kept = int(np.count_nonzero(mus))
     pairs = np.empty((size, 2 * n_kept))
     pairs[:, 0::2] = _oriented(vecs[:, :n_kept]).real
@@ -211,8 +216,9 @@ def decompose(s: np.ndarray, p: ProbabilityTable, metric: str = "averaged") -> S
     svd = paired_svd(s)
     weights = metric_weights(p, metric)
     inv_root = weights[:, None]
-    row = inv_root * svd.left_vectors * svd.singular_values[None, :]
-    col = inv_root * svd.right_vectors * svd.singular_values[None, :]
+    # "+ 0.0" turns the -0.0 of a negative entry times a zero value into +0.0
+    row = inv_root * svd.left_vectors * svd.singular_values[None, :] + 0.0
+    col = inv_root * svd.right_vectors * svd.singular_values[None, :] + 0.0
     inertia = float(np.sum(svd.singular_values**2))
     fully_symmetric = not np.any(s)
     return SymmetryDecomposition(

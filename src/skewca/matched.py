@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import PairedSVD, metric_weights, paired_svd, skew_matrix
+from .decomposition import PairedSVD, _structural_zeros, metric_weights, paired_svd, skew_matrix
 from .divergence import require_lambda
 from .errors import CountOverflowError, DimensionMismatchError, LabelMismatchError
 from .table import ContingencyTable, ProbabilityTable, _frozen, to_probabilities, validate_table
@@ -89,7 +89,8 @@ def build_matched(
     carry off-diagonal mass. The two skew matrices use the same lam. The
     block's singular values are the sum and difference values merged in
     descending order, and ``dim_classes`` attributes each to its component;
-    the block matrix itself is never built here.
+    the block matrix itself is never built here. As in the block's SVD, values
+    at most ZERO_SINGULAR_RTOL of the largest are zeros, in the components too.
     """
     if t1.size != t2.size:
         raise DimensionMismatchError(f"table sizes differ: {t1.size} vs {t2.size}")
@@ -112,13 +113,15 @@ def build_matched(
     s2 = skew_matrix(p2, lam)
     s_plus = _frozen(s1 + s2)
     s_minus = _frozen(s1 - s2)
-    svd_plus = paired_svd(s_plus)
-    svd_minus = paired_svd(s_minus)
-    size = t1.size
+    plus, minus = paired_svd(s_plus), paired_svd(s_minus)
+    size, n_dims = t1.size, plus.n_dims
     # odd sizes give each component one more zero value, its null dimension
     values = np.zeros(2 * size)
-    values[: svd_plus.n_dims] = svd_plus.singular_values
-    values[size : size + svd_minus.n_dims] = svd_minus.singular_values
+    values[:n_dims] = plus.singular_values
+    values[size : size + n_dims] = minus.singular_values
+    values = _structural_zeros(values, values.max())
+    svd_plus = PairedSVD(plus.left_vectors, _frozen(values[:n_dims]))
+    svd_minus = PairedSVD(minus.left_vectors, _frozen(values[size : size + n_dims]))
     # pair values are exactly equal, so the stable merge keeps pairs adjacent
     # and sends exact ties to the sum component first
     order = np.argsort(-values, kind="stable")
@@ -159,7 +162,8 @@ def matched_coordinates(m: MatchedAnalysis, metric: str = "identity") -> Matched
         return np.concatenate([a, np.zeros(a.shape[:-1] + (size - a.shape[-1],))], axis=-1)
 
     def first_block(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
-        return weights * (padded(vectors) / math.sqrt(2.0) * padded(values))
+        # "+ 0.0" turns the -0.0 of a negative entry times a zero value into +0.0
+        return weights * (padded(vectors) / math.sqrt(2.0) * padded(values)) + 0.0
 
     plus, minus = m.svd_plus, m.svd_minus
     return MatchedCoordinates(

@@ -117,9 +117,12 @@ def near_tied_components(draw):
     S+ and S- are planted on independent random bases. S+ takes pair values
     in [0.01, 1]; each S- value is one of them times 1 + eps, with eps 0,
     +-1e-15, +-1e-12, +-1e-9 or +-1e-6, or is drawn on its own from 0 and
-    [0.01, 1], away from the structural-zero threshold. In about half the
-    draws S- is S+ itself, so S2 is zero and every tie is exact in floating
-    point. S1 = (S+ + S-) / 2 and S2 = (S+ - S-) / 2.
+    [0.01, 1], away from the structural-zero threshold; or else every S-
+    value lies in [2e-12, 9.9e-11] times the largest S+ value, below the
+    block's threshold of 1e-10 but not S-'s own (rounding moves a value near
+    1e-10 by about 1e-6 of itself, so the 1% margin decides its side). In
+    about half the draws S- is S+ itself, so S2 is zero and every tie is
+    exact in floating point. S1 = (S+ + S-) / 2 and S2 = (S+ - S-) / 2.
     """
     size = draw(st.integers(2, 10))
     n_pairs = size // 2
@@ -132,7 +135,11 @@ def near_tied_components(draw):
         eps = st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6])
         tied = st.tuples(st.sampled_from(plus), eps).map(lambda v: v[0] * (1.0 + v[1]))
         value = tied | st.just(0.0) | st.floats(0.01, 1.0)
-        minus = draw(st.lists(value, min_size=n_pairs, max_size=n_pairs))
+        below_zero = st.floats(2e-12, 9.9e-11).map(lambda v: v * max(plus))
+        minus = draw(
+            st.lists(value, min_size=n_pairs, max_size=n_pairs)
+            | st.lists(below_zero, min_size=n_pairs, max_size=n_pairs)
+        )
         s_minus = planted_skew(np.linalg.qr(rng.normal(size=(size, size)))[0], minus)
     return (s_plus + s_minus) / 2.0, (s_plus - s_minus) / 2.0
 
@@ -153,7 +160,15 @@ def test_block_values_merge_near_tied_components(components):
     assert np.abs(block_svd.singular_values - merged).max() <= 1e-12 * top
     left = block_svd.left_vectors
     assert np.abs(left.T @ left - np.eye(2 * size)).max() <= 1e-12
-    assert np.abs(oracle_reconstruct(block_svd) - m.block).max() <= 1e-12 * top
+    kept = m.block
+    if np.abs(s1 - s2).max() <= 1e-10 * top:
+        # every S- value is a structural zero of the block, so its SVD factorizes the S+ part
+        half = (s1 + s2) / 2.0
+        kept = np.block([[half, half], [half, half]])
+    assert np.abs(oracle_reconstruct(block_svd) - kept).max() <= 1e-12 * top
+    # the components report the block's structural zeros as zeros too
+    components = np.concatenate([m.svd_plus.singular_values, m.svd_minus.singular_values])
+    assert np.array_equal(np.sort(components)[::-1], merged[: len(components)])
     tags = [cls.component for cls in m.dim_classes]
     assert tags.count("sum") == tags.count("difference") == size
     # the merge is stable, so within a run of exactly equal values every sum comes first

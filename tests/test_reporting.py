@@ -93,12 +93,15 @@ def test_analyze_computes_the_measure_once(coffee, monkeypatch):
 
 
 def test_analyze_symmetric_table_warns_and_skips_regions():
-    t = validate_table(["a", "b", "c"], [[1, 2, 3], [2, 5, 1], [3, 1, 4]])
-    report = run_analyze(AnalysisConfig(lam=0.5), t)
-    assert report.asymmetry["phi_total"] == 0.0
-    assert report.regions is None
-    assert any("fully symmetric" in w for w in report.warnings)
-    assert report.decomposition["fully_symmetric"] is True
+    for counts in ([[1, 2, 3], [2, 5, 1], [3, 1, 4]], [[5, 3, 2], [3, 4, 1], [2, 1, 6]]):
+        t = validate_table(["a", "b", "c"], counts)
+        report = run_analyze(AnalysisConfig(lam=0.5), t)
+        assert report.asymmetry["phi_total"] == 0.0
+        assert report.regions is None
+        assert any("fully symmetric" in w for w in report.warnings)
+        assert report.decomposition["fully_symmetric"] is True
+        # a negative vector entry times a zero value must not print as -0.0
+        assert "-0.0" not in report.to_json()
 
 
 def test_analyze_2x2_skips_regions():
@@ -239,6 +242,8 @@ def test_matched_report_on_two_symmetric_tables(tmp_path):
     config = AnalysisConfig(svg_path=str(tmp_path / "m.svg"))
     report = run_matched(config, symmetric, symmetric)
     assert report.matched["block_total_inertia"] == 0.0
+    # a negative vector entry times a zero value must not print as -0.0
+    assert "-0.0" not in report.to_json()
     assert report.warnings == ["both tables are fully symmetric: all coordinates sit at the origin"]
     for component in ("sum", "difference"):
         svg = (tmp_path / f"m_{component}.svg").read_text(encoding="utf-8")
