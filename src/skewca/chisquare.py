@@ -3,7 +3,7 @@
 One split gives both tails: below x = dof + 2 the power series of the
 regularized lower incomplete gamma P gives the CDF, from there the Lentz
 continued fraction of the upper Q gives the tail, and the other is 1 minus
-it. The quantile takes Newton steps on log sf, safeguarded by a bracket.
+it. The quantile takes bracketed Newton steps on the log of the smaller tail.
 """
 
 from __future__ import annotations
@@ -104,29 +104,37 @@ def _normal_upper_quantile(alpha: float) -> float:
 def chi_square_quantile(dof: int, alpha: float) -> float:
     """Upper-alpha point: q with chi_square_sf(q) = alpha.
 
-    Starts from the Wilson-Hilferty cube approximation and takes Newton steps
-    on log sf, which moves x by its full distance to the root even where the
-    tail is far from alpha. Each tail narrows the bracket (lo, hi) around the
-    root; a step that leaves it doubles x while hi is unbounded and bisects
-    once it is not. It stops when the step or the bracket is below 1e-15 x.
+    Takes Newton steps on the log of the smaller tail, read with its relative
+    accuracy: log sf toward log alpha for alpha <= 1/2, else log CDF toward
+    log(1 - alpha), which is exact there. The start is the Wilson-Hilferty cube,
+    or P(a, y) ~ y^a / Gamma(a + 1) when 1 - alpha < 1e-3. Each tail narrows the
+    bracket (lo, hi) around the root; a step that leaves it doubles x while hi
+    is unbounded and bisects once it is not. It stops when the step or the
+    bracket is below 1e-15 x.
     """
     if dof < 1:
         raise InvalidDofError(f"dof must be >= 1, got {dof}")
     if not 0.0 < alpha < 1.0:
         raise InvalidAlphaError(f"alpha must be in (0, 1), got {alpha}")
+    upper = alpha <= 0.5
+    target = alpha if upper else 1.0 - alpha
     z = _normal_upper_quantile(alpha)
     x = max(dof * (1.0 - 2.0 / (9.0 * dof) + z * math.sqrt(2.0 / (9.0 * dof))) ** 3, 1e-8)
+    if target < 1e-3 and not upper:
+        x = 2.0 * math.exp((math.log(target) + math.lgamma(dof / 2.0 + 1.0)) / (dof / 2.0))
     lo, hi = 0.0, math.inf
     for _ in range(200):
-        tail = chi_square_sf(dof, x)
-        if tail > alpha:
+        cdf, sf = _tails(dof, x)
+        tail = sf if upper else cdf
+        if (tail > target) == upper:  # x is below the root
             lo = x
         else:
             hi = x
         # the density is the gamma prefix at x / 2 over x; either it or the tail can
         # underflow to 0 (an overshoot far into the tail), and NaN then means no step
         density = _gamma_prefix(dof / 2.0, x / 2.0) / x
-        nxt = x + math.log(tail / alpha) * tail / density if tail > 0.0 and density > 0.0 else math.nan
+        step = math.log(tail / target) * tail / density if tail > 0.0 and density > 0.0 else math.nan
+        nxt = x + step if upper else x - step
         if abs(nxt - x) <= 1e-15 * x:
             return nxt
         if not lo < nxt < hi:

@@ -38,15 +38,23 @@ ZERO_SINGULAR_RTOL = 1e-10
 SCAN_CHUNK_CELLS = 1 << 16
 
 
+def _quarter_turn(m: np.ndarray) -> np.ndarray:
+    """m @ J.T, the column side of a row-side array: each column pair (x, y)
+    becomes (y, -x), and "+ 0.0" and "0.0 -" write a zero of either sign as +0.0."""
+    turned = np.empty_like(m)
+    turned[:, 0::2] = m[:, 1::2] + 0.0
+    turned[:, 1::2] = 0.0 - m[:, 0::2]
+    return turned
+
+
 @dataclass(frozen=True)
 class PairedSVD:
     """SVD of a skew-symmetric matrix with exact pair structure.
 
     ``singular_values`` is non-increasing with entries equal in consecutive
-    pairs; ``right_vectors`` equals ``left_vectors @ J.T``: each column pair
-    of ``left_vectors`` swapped, its new second column negated.
-    The number of retained dimensions is R for even R and R - 1 for odd R,
-    with structural zeros kept as explicit zero singular values.
+    pairs; ``right_vectors`` is ``left_vectors`` turned a quarter turn in
+    each pair plane. The number of retained dimensions is R for even R and
+    R - 1 for odd R, with structural zeros kept as explicit zero singular values.
     """
 
     left_vectors: np.ndarray = field(repr=False)
@@ -58,17 +66,12 @@ class PairedSVD:
 
     @property
     def right_vectors(self) -> np.ndarray:
-        # "+ 0.0" and "0.0 -" make a zero of either sign +0.0, as the product left @ J.T does
-        left = self.left_vectors
-        right = np.empty_like(left)
-        right[:, 0::2] = left[:, 1::2] + 0.0
-        right[:, 1::2] = 0.0 - left[:, 0::2]
-        return right
+        return _quarter_turn(self.left_vectors)
 
 
 @dataclass(frozen=True)
-class SymmetryDecomposition:
-    """Principal coordinates of the skew decomposition under a metric.
+class SymmetryDecomposition(PairedSVD):
+    """The paired SVD of a skew matrix with its principal coordinates under a metric.
 
     ``row_coords`` and ``col_coords`` are R x M; the same category's row
     and column points coincide when rotated about the origin. Squared
@@ -79,7 +82,6 @@ class SymmetryDecomposition:
 
     labels: tuple[str, ...]
     metric: str
-    svd: PairedSVD
     metric_weights: np.ndarray = field(repr=False)
     row_coords: np.ndarray = field(repr=False)
     col_coords: np.ndarray = field(repr=False)
@@ -90,22 +92,6 @@ class SymmetryDecomposition:
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    @property
-    def n_dims(self) -> int:
-        return self.svd.n_dims
-
-    @property
-    def singular_values(self) -> np.ndarray:
-        return self.svd.singular_values
-
-    @property
-    def left_vectors(self) -> np.ndarray:
-        return self.svd.left_vectors
-
-    @property
-    def right_vectors(self) -> np.ndarray:
-        return self.svd.right_vectors
 
 
 @dataclass(frozen=True)
@@ -181,6 +167,8 @@ def paired_svd(skew: np.ndarray) -> PairedSVD:
     left = basis[:, : size - size % 2]
     left[:, : 2 * n_kept] *= np.copysign(1.0, np.diag(tri))
     left[:, 2 * n_kept :] = _oriented(left[:, 2 * n_kept :])
+    # Householder QR leaves signed zeros, which "+= 0.0" writes as +0.0
+    left += 0.0
     return PairedSVD(left_vectors=_frozen(left), singular_values=_frozen(np.repeat(mus, 2)))
 
 
@@ -215,22 +203,20 @@ def decompose(s: np.ndarray, p: ProbabilityTable, metric: str = "averaged") -> S
     """
     svd = paired_svd(s)
     weights = metric_weights(p, metric)
-    inv_root = weights[:, None]
     # "+ 0.0" turns the -0.0 of a negative entry times a zero value into +0.0
-    row = inv_root * svd.left_vectors * svd.singular_values[None, :] + 0.0
-    col = inv_root * svd.right_vectors * svd.singular_values[None, :] + 0.0
+    row = weights[:, None] * svd.left_vectors * svd.singular_values[None, :] + 0.0
     inertia = float(np.sum(svd.singular_values**2))
-    fully_symmetric = not np.any(s)
     return SymmetryDecomposition(
+        left_vectors=svd.left_vectors,
+        singular_values=svd.singular_values,
         labels=p.labels,
         metric=metric,
-        svd=svd,
         metric_weights=_frozen(weights),
         row_coords=_frozen(row),
-        col_coords=_frozen(col),
+        col_coords=_frozen(_quarter_turn(row)),
         total_inertia=inertia,
         contributions=_frozen(_shares(svd.singular_values, inertia)),
-        fully_symmetric=fully_symmetric,
+        fully_symmetric=not np.any(s),
     )
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import PairedSVD, _structural_zeros, metric_weights, paired_svd, skew_matrix
+from .decomposition import PairedSVD, _quarter_turn, _structural_zeros, metric_weights, paired_svd, skew_matrix
 from .divergence import require_lambda
 from .errors import CountOverflowError, DimensionMismatchError, LabelMismatchError
 from .table import ContingencyTable, ProbabilityTable, _frozen, to_probabilities, validate_table
@@ -161,17 +161,19 @@ def matched_coordinates(m: MatchedAnalysis, metric: str = "identity") -> Matched
         # odd R keeps the component's null dimension as a zero column
         return np.concatenate([a, np.zeros(a.shape[:-1] + (size - a.shape[-1],))], axis=-1)
 
-    def first_block(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
+    def first_block(svd: PairedSVD) -> tuple[np.ndarray, np.ndarray]:
         # "+ 0.0" turns the -0.0 of a negative entry times a zero value into +0.0
-        return weights * (padded(vectors) / math.sqrt(2.0) * padded(values)) + 0.0
+        rows = weights * (svd.left_vectors / math.sqrt(2.0) * svd.singular_values) + 0.0
+        return padded(rows), padded(_quarter_turn(rows))
 
-    plus, minus = m.svd_plus, m.svd_minus
+    sum_rows, sum_cols = first_block(m.svd_plus)
+    difference_rows, difference_cols = first_block(m.svd_minus)
     return MatchedCoordinates(
         metric=metric,
-        sum_rows=first_block(plus.left_vectors, plus.singular_values),
-        sum_cols=first_block(plus.right_vectors, plus.singular_values),
-        sum_singular_values=padded(plus.singular_values),
-        difference_rows=first_block(minus.left_vectors, minus.singular_values),
-        difference_cols=first_block(minus.right_vectors, minus.singular_values),
-        difference_singular_values=padded(minus.singular_values),
+        sum_rows=sum_rows,
+        sum_cols=sum_cols,
+        sum_singular_values=padded(m.svd_plus.singular_values),
+        difference_rows=difference_rows,
+        difference_cols=difference_cols,
+        difference_singular_values=padded(m.svd_minus.singular_values),
     )

@@ -30,7 +30,6 @@ import io
 import json
 import re
 from pathlib import Path
-from typing import IO
 
 import numpy as np
 
@@ -56,12 +55,10 @@ def _cell_to_count(cell: str, row_label: str, col_label: str) -> int:
     return value
 
 
-def parse_table_csv(source: str | IO[str]) -> ContingencyTable:
-    """Parse a contingency table from CSV text or a text stream."""
-    if isinstance(source, str):
-        source = io.StringIO(source)
+def parse_table_csv(text: str) -> ContingencyTable:
+    """Parse a contingency table from CSV text."""
     try:
-        rows = [row for row in csv.reader(source) if any(cell.strip() for cell in row)]
+        rows = [row for row in csv.reader(io.StringIO(text)) if any(cell.strip() for cell in row)]
     except csv.Error as exc:
         raise MalformedCsvError(f"unreadable CSV: {exc}") from None
     if not rows:
@@ -84,9 +81,9 @@ def parse_table_csv(source: str | IO[str]) -> ContingencyTable:
             )
         label = row[0].strip()
         labels.append(label)
-        text = ",".join(row[1:])
-        if text.count(",") == size - 1 and _CANONICAL_ROW_RE.fullmatch(text):
-            counts.append(np.fromstring(text, dtype=np.int64, sep=","))
+        joined = ",".join(row[1:])
+        if joined.count(",") == size - 1 and _CANONICAL_ROW_RE.fullmatch(joined):
+            counts.append(np.fromstring(joined, dtype=np.int64, sep=","))
         else:
             counts.append([_cell_to_count(row[j + 1], label, header[j]) for j in range(size)])
     if labels != header:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewca import decomposition, divergence, reporting
+from skewca.decomposition import METRICS
 from skewca.errors import (
     DegenerateTableError,
     DimensionOutOfRangeError,
@@ -102,6 +103,19 @@ def test_analyze_symmetric_table_warns_and_skips_regions():
         assert report.decomposition["fully_symmetric"] is True
         # a negative vector entry times a zero value must not print as -0.0
         assert "-0.0" not in report.to_json()
+
+
+def test_analyze_writes_no_negative_zero():
+    tables = (
+        # Householder QR leaves signed zeros in the left vectors of this one
+        [[5, 4, 2, 2], [1, 5, 2, 2], [2, 2, 5, 2], [2, 2, 2, 5]],
+        # a negative left entry under a zero singular value, times it, is -0.0 in the rows
+        [[5, 4, 3, 2], [1, 5, 2, 2], [1, 2, 5, 2], [2, 2, 2, 5]],
+    )
+    for counts in tables:
+        for metric in METRICS:
+            report = run_analyze(AnalysisConfig(metric=metric), validate_table(list("abcd"), counts))
+            assert "-0.0" not in report.to_json(), (counts, metric)
 
 
 def test_analyze_2x2_skips_regions():
