@@ -9,6 +9,7 @@ it. The quantile takes bracketed Newton steps on the log of the smaller tail.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import InvalidAlphaError, InvalidDofError
 
@@ -102,7 +103,7 @@ def _normal_upper_quantile(alpha: float) -> float:
 
 
 def chi_square_quantile(dof: int, alpha: float) -> float:
-    """Upper-alpha point: q with chi_square_sf(q) = alpha.
+    """Upper-alpha point: q with chi_square_sf(q) = alpha, for a normal double alpha < 1.
 
     Takes Newton steps on the log of the smaller tail, read with its relative
     accuracy: log sf toward log alpha for alpha <= 1/2, else log CDF toward
@@ -114,8 +115,8 @@ def chi_square_quantile(dof: int, alpha: float) -> float:
     """
     if dof < 1:
         raise InvalidDofError(f"dof must be >= 1, got {dof}")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidAlphaError(f"alpha must be in (0, 1), got {alpha}")
+    if not sys.float_info.min <= alpha < 1.0:
+        raise InvalidAlphaError(f"alpha must be a normal double in (0, 1), got {alpha}")
     upper = alpha <= 0.5
     target = alpha if upper else 1.0 - alpha
     z = _normal_upper_quantile(alpha)

@@ -70,7 +70,7 @@ def confidence_regions(
             the leading plane, and the calibration is not defined there).
         IdentityMetricUnsupportedError: the derivation is tied to the
             averaged-margin metric.
-        InvalidAlphaError: alpha outside (0, 1), from the chi-square quantile.
+        InvalidAlphaError: alpha not a normal double in (0, 1), from the chi-square quantile.
     """
     size = dec.size
     if dec.fully_symmetric or dec.total_inertia <= 0.0:

@@ -167,8 +167,6 @@ def paired_svd(skew: np.ndarray) -> PairedSVD:
     left = basis[:, : size - size % 2]
     left[:, : 2 * n_kept] *= np.copysign(1.0, np.diag(tri))
     left[:, 2 * n_kept :] = _oriented(left[:, 2 * n_kept :])
-    # Householder QR leaves signed zeros, which "+= 0.0" writes as +0.0
-    left += 0.0
     return PairedSVD(left_vectors=_frozen(left), singular_values=_frozen(np.repeat(mus, 2)))
 
 
@@ -203,8 +201,7 @@ def decompose(s: np.ndarray, p: ProbabilityTable, metric: str = "averaged") -> S
     """
     svd = paired_svd(s)
     weights = metric_weights(p, metric)
-    # "+ 0.0" turns the -0.0 of a negative entry times a zero value into +0.0
-    row = weights[:, None] * svd.left_vectors * svd.singular_values[None, :] + 0.0
+    row = weights[:, None] * svd.left_vectors * svd.singular_values[None, :]
     inertia = float(np.sum(svd.singular_values**2))
     return SymmetryDecomposition(
         left_vectors=svd.left_vectors,

@@ -72,7 +72,7 @@ class AsymmetryProfile:
 
 
 def require_lambda(lam: float) -> float:
-    lam = float(lam)
+    lam = float(lam) + 0.0  # -0.0, the KL case, comes back as +0.0
     if not lam > -1.0 or math.isinf(lam) or math.isnan(lam):
         raise LambdaOutOfRangeError(f"lam must be a finite number > -1, got {lam}")
     return lam

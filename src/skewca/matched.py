@@ -162,8 +162,7 @@ def matched_coordinates(m: MatchedAnalysis, metric: str = "identity") -> Matched
         return np.concatenate([a, np.zeros(a.shape[:-1] + (size - a.shape[-1],))], axis=-1)
 
     def first_block(svd: PairedSVD) -> tuple[np.ndarray, np.ndarray]:
-        # "+ 0.0" turns the -0.0 of a negative entry times a zero value into +0.0
-        rows = weights * (svd.left_vectors / math.sqrt(2.0) * svd.singular_values) + 0.0
+        rows = weights * (svd.left_vectors / math.sqrt(2.0) * svd.singular_values)
         return padded(rows), padded(_quarter_turn(rows))
 
     sum_rows, sum_cols = first_block(m.svd_plus)

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -43,7 +44,7 @@ class AnalysisConfig:
     ``lam`` accepts a float or one of the named divergences
     (hellinger, kl, cressie-read, pearson), resolved to its float when the
     config is built. Building a config also checks that ``alpha`` is a
-    number in (0, 1), that ``dims`` are two distinct integers >= 1 (their
+    normal double in (0, 1), that ``dims`` are two distinct integers >= 1 (their
     upper bound depends on the table), and that ``metric``,
     ``output_format`` and ``plot_axes`` are among their choices.
     """
@@ -58,8 +59,8 @@ class AnalysisConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lam", resolve_lambda(self.lam))
-        if not (isinstance(self.alpha, numbers.Real) and 0.0 < self.alpha < 1.0):
-            raise InvalidAlphaError(f"alpha must be in (0, 1), got {self.alpha}")
+        if not (isinstance(self.alpha, numbers.Real) and sys.float_info.min <= self.alpha < 1.0):
+            raise InvalidAlphaError(f"alpha must be a normal double in (0, 1), got {self.alpha}")
         if len(self.dims) != 2 or self.dims[0] == self.dims[1] or not all(
             isinstance(d, numbers.Integral) and d >= 1 for d in self.dims
         ):
@@ -141,16 +142,23 @@ class AnalysisReport:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["record", "axis", "label", "key", "value"])
 
-        def fmt(value: Any) -> Any:
-            if isinstance(value, bool):
-                return str(value).lower()
-            if isinstance(value, float):
-                return f"{value:.6f}"
-            return value
-
         def emit(record: str, axis: str, label: str, key: Any, value: Any) -> None:
-            writer.writerow([record, axis, label, key, fmt(value)])
+            if isinstance(value, bool):
+                value = str(value).lower()
+            elif isinstance(value, float):
+                value = f"{value:.6f}"
+            writer.writerow([record, axis, label, key, value])
 
+        def numbered(record: str, values) -> None:
+            for m, value in enumerate(values, start=1):
+                emit(record, "", "", m, value)
+
+        def per_label(record: str, axis: str, matrix) -> None:
+            for label, row in zip(labels, matrix):
+                for m, value in enumerate(row, start=1):
+                    emit(record, axis, label, m, value)
+
+        labels = self.table["labels"]
         emit("meta", "", "", "schema_version", self.schema_version)
         emit("meta", "", "", "command", self.command)
         for key, value in self.table.items():
@@ -167,7 +175,6 @@ class AnalysisReport:
                     continue
                 emit(section_name, "", "", key, value)
         if self.asymmetry and "phi_cells" in self.asymmetry:
-            labels = self.table["labels"]
             cells = self.asymmetry["phi_cells"]
             for i in range(len(labels)):
                 for j in range(i + 1, len(labels)):
@@ -175,40 +182,28 @@ class AnalysisReport:
         if self.decomposition:
             for key in ("metric", "total_inertia", "fully_symmetric"):
                 emit("decomposition", "", "", key, self.decomposition[key])
-            for m, value in enumerate(self.decomposition["singular_values"], start=1):
-                emit("singular_value", "", "", m, value)
-            for m, value in enumerate(self.decomposition["contributions"], start=1):
-                emit("contribution", "", "", m, value)
+            numbered("singular_value", self.decomposition["singular_values"])
+            numbered("contribution", self.decomposition["contributions"])
         if self.coordinates:
-            labels = self.table["labels"]
             for axis, key in (("row", "rows"), ("column", "columns")):
-                for i, row in enumerate(self.coordinates[key]):
-                    for m, value in enumerate(row, start=1):
-                        emit("coordinate", axis, labels[i], m, value)
-                for i, value in enumerate(self.coordinates[f"{key[:-1]}_origin_distances"]):
-                    emit("origin_distance", axis, labels[i], "", value)
+                per_label("coordinate", axis, self.coordinates[key])
+                for label, value in zip(labels, self.coordinates[f"{key[:-1]}_origin_distances"]):
+                    emit("origin_distance", axis, label, "", value)
         for region in self.regions or ():
             for key in ("center_x", "center_y", "radius_x", "radius_y", "contains_origin"):
                 emit("region", region["axis"], region["label"], key, region[key])
         if self.matched:
-            for m, value in enumerate(self.matched["block_singular_values"], start=1):
-                emit("block_singular_value", "", "", m, value)
-            for m, cls in enumerate(self.matched["dimension_classes"], start=1):
-                emit("dimension_class", "", "", m, cls["component"])
-            labels = self.table["labels"]
+            numbered("block_singular_value", self.matched["block_singular_values"])
+            numbered("dimension_class", [cls["component"] for cls in self.matched["dimension_classes"]])
             for component in ("sum", "difference"):
                 for axis, key in (("row", "rows"), ("column", "cols")):
-                    coords = self.matched[f"{component}_{key}"]
-                    for i, row in enumerate(coords):
-                        for m, value in enumerate(row, start=1):
-                            emit(f"{component}_coordinate", axis, labels[i], m, value)
+                    per_label(f"{component}_coordinate", axis, self.matched[f"{component}_{key}"])
         if self.scan:
             emit("scan", "", "", "best_lambda", self.scan["best_lambda"])
             emit("scan", "", "", "best_contribution", self.scan["best_contribution"])
             for lam, contrib in zip(self.scan["grid"], self.scan["contributions"]):
                 emit("scan_point", "", "", f"{lam:.2f}", contrib)
-        for i, warning in enumerate(self.warnings, start=1):
-            emit("warning", "", "", i, warning)
+        numbered("warning", self.warnings)
         return out.getvalue()
 
 
@@ -308,11 +303,12 @@ def _fill_float_lists(parts: list, slots: list) -> None:
 
 
 def _floats(arr) -> list:
-    return np.asarray(arr, dtype=float).ravel().tolist()
+    """The report's float list; "+ 0.0" writes a zero of either sign as +0.0, as in _matrix."""
+    return (np.asarray(arr, dtype=float).ravel() + 0.0).tolist()
 
 
 def _matrix(arr) -> list[list[float]]:
-    return np.asarray(arr, dtype=float).tolist()
+    return (np.asarray(arr, dtype=float) + 0.0).tolist()
 
 
 def _region_dict(region: ConfidenceRegion) -> dict:
@@ -320,8 +316,8 @@ def _region_dict(region: ConfidenceRegion) -> dict:
         "index": region.index,
         "label": region.label,
         "axis": region.axis,
-        "center_x": region.center[0],
-        "center_y": region.center[1],
+        "center_x": region.center[0] + 0.0,
+        "center_y": region.center[1] + 0.0,
         "radius_x": region.radius,
         "radius_y": region.radius,
         "alpha": region.alpha,
@@ -346,14 +342,6 @@ def _config_dict(config: AnalysisConfig) -> dict:
     return data
 
 
-def check_dims(dims: tuple[int, int], n_dims: int) -> tuple[int, int]:
-    """The config's plot dimensions, checked against the n_dims a table has."""
-    for d in dims:
-        if d > n_dims:
-            raise DimensionOutOfRangeError(f"dimension {d} out of range 1..{n_dims}")
-    return dims
-
-
 def _plot_svg(
     labels: tuple[str, ...],
     rows: np.ndarray,
@@ -367,7 +355,10 @@ def _plot_svg(
 
     Circles are drawn around the plotted points only on dims 1-2.
     """
-    d1, d2 = check_dims(config.dims, rows.shape[1])
+    d1, d2 = config.dims
+    for d in config.dims:
+        if d > rows.shape[1]:
+            raise DimensionOutOfRangeError(f"dimension {d} out of range 1..{rows.shape[1]}")
     shown = [
         (axis, coords, suffix)
         for axis, coords, suffix in (("row", rows, ""), ("column", cols, "'"))
@@ -535,11 +526,11 @@ def run_scan(
         table=_table_dict(table),
         config=_config_dict(config),
         scan={
-            "best_lambda": result.best_lambda,
+            "best_lambda": result.best_lambda + 0.0,
             "best_contribution": result.best_contribution,
-            "grid": list(result.grid),
-            "contributions": list(result.contributions),
-            "inertias": list(result.inertias),
+            "grid": _floats(result.grid),
+            "contributions": _floats(result.contributions),
+            "inertias": _floats(result.inertias),
         },
         warnings=[],
     )

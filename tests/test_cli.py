@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,11 @@ def test_analyze_json(capsys, coffee_csv):
     assert report["command"] == "analyze"
     assert report["config"]["lambda"] == 1.0
     assert all(not r["contains_origin"] for r in report["regions"])
+    # lam = -0 is the KL case: analyze and matched write it as 0.0, as everything else
+    for argv in (("analyze", str(coffee_csv)), ("matched", str(coffee_csv), str(coffee_csv))):
+        code, out, err = run_cli(capsys, *argv, "--lambda=-0")
+        assert code == 0, err
+        assert re.search(r"-0\.0\b", out) is None and '"lambda": 0.0' in out
 
 
 def test_analyze_named_lambdas_match_numeric(capsys, coffee_csv):
@@ -407,7 +413,7 @@ def test_exit_code_2_for_alpha_outside_unit_interval(capsys, coffee_csv, tmp_pat
     # checked when the config is built, whether or not circles are drawn
     sym = tmp_path / "sym.csv"
     sym.write_text(",a,b,c\na,1,2,3\nb,2,1,4\nc,3,4,1\n", encoding="utf-8")
-    for alpha in ("7", "0", "1", "-0.1", "nan"):
+    for alpha in ("7", "0", "1", "-0.1", "nan", "5e-324", "1e-315"):
         for path, extra in ((coffee_csv, ()), (coffee_csv, ("--metric", "identity")), (sym, ())):
             argv = ["analyze", str(path), "--alpha", alpha, *extra]
             with pytest.raises(InvalidAlphaError):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -96,6 +97,8 @@ def test_upper_tail_and_quantile_against_scipy(monkeypatch):
         for alpha in (
             *(10.0**k for k in (*log_alphas, math.log10(0.99), math.log10(0.999), -0.001)),
             *near_one,
+            # the smallest alpha accepted; a subnormal one has too few bits to define the quantile
+            sys.float_info.min,
         ):
             x = float(stats.chi2.isf(alpha, dof))
             assert chi_square_sf(dof, x) == pytest.approx(stats.chi2.sf(x, dof), rel=1e-10)
@@ -155,10 +158,10 @@ def test_quantile_monotone_in_alpha():
 
 
 def test_quantile_validation():
-    with pytest.raises(InvalidAlphaError):
-        chi_square_quantile(3, 0.0)
-    with pytest.raises(InvalidAlphaError):
-        chi_square_quantile(3, 1.0)
+    # a subnormal alpha has too few bits to define the quantile
+    for alpha in (0.0, 1.0, 5e-324, 1e-315):
+        with pytest.raises(InvalidAlphaError):
+            chi_square_quantile(3, alpha)
     with pytest.raises(InvalidDofError):
         chi_square_quantile(0, 0.05)
 

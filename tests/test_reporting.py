@@ -2,6 +2,8 @@ import collections
 import gc
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +48,7 @@ def test_resolve_lambda_named_values():
 def test_config_checks_its_fields():
     assert AnalysisConfig(lam="kl").lam == 0.0
     assert AnalysisConfig(lam="0.25").lam == 0.25
+    assert AnalysisConfig(alpha=sys.float_info.min).alpha == sys.float_info.min
     # numpy integers become ints, which the report writer takes
     assert list(map(type, AnalysisConfig(dims=(np.int64(2), np.int32(1))).dims)) == [int, int]
     for kwargs, error in (
@@ -55,6 +58,9 @@ def test_config_checks_its_fields():
         ({"alpha": math.nan}, InvalidAlphaError),
         ({"alpha": math.inf}, InvalidAlphaError),
         ({"alpha": "0.1"}, InvalidAlphaError),
+        # a subnormal alpha has too few bits to define the quantile
+        ({"alpha": 5e-324}, InvalidAlphaError),
+        ({"alpha": 1e-315}, InvalidAlphaError),
         ({"metric": "weird"}, InvalidParameterError),
         ({"output_format": "yaml"}, InvalidParameterError),
         ({"plot_axes": "up"}, InvalidParameterError),
@@ -114,8 +120,11 @@ def test_analyze_writes_no_negative_zero():
     )
     for counts in tables:
         for metric in METRICS:
-            report = run_analyze(AnalysisConfig(metric=metric), validate_table(list("abcd"), counts))
-            assert "-0.0" not in report.to_json(), (counts, metric)
+            # lam = -0.0 is the KL case, which the config and the measure record as 0.0
+            for lam in (1.0, -0.0):
+                config = AnalysisConfig(lam=lam, metric=metric)
+                report = run_analyze(config, validate_table(list("abcd"), counts))
+                assert "-0.0" not in report.to_json(), (counts, metric, lam)
 
 
 def test_analyze_2x2_skips_regions():
@@ -188,6 +197,22 @@ def test_csv_rendering(coffee):
             assert len(value.split(".")[1]) == 6
 
 
+def test_csv_layout_is_pinned():
+    # the whole CSV of each command: two zero-pair warnings and regions in analyze,
+    # every matched record, and no value at the noise level, so no BLAS rounding shows
+    counts = [[0, 3, 0], [1, 0, 0], [0, 0, 1]]
+    t = validate_table(list("abc"), counts)
+    reports = {
+        "analyze": run_analyze(AnalysisConfig(lam=1.0), t),
+        "matched": run_matched(AnalysisConfig(lam=1.0), t, validate_table(list("abc"), np.transpose(counts))),
+        "bowker": run_bowker(AnalysisConfig(), t),
+        "scan": run_scan(AnalysisConfig(), t, grid=[0.0, 0.5, 1.0]),
+    }
+    for name, report in reports.items():
+        expected = (Path(__file__).parent / "csv_layout" / f"{name}.csv").read_text(encoding="utf-8")
+        assert report.to_csv() == expected, name
+
+
 def test_render_report_dispatch(coffee):
     report = run_bowker(AnalysisConfig(), coffee)
     assert render_report(report, "json").startswith("{")
@@ -256,8 +281,9 @@ def test_matched_report_on_two_symmetric_tables(tmp_path):
     config = AnalysisConfig(svg_path=str(tmp_path / "m.svg"))
     report = run_matched(config, symmetric, symmetric)
     assert report.matched["block_total_inertia"] == 0.0
-    # a negative vector entry times a zero value must not print as -0.0
+    # a negative vector entry times a zero value must not print as -0.0, nor lam = -0.0
     assert "-0.0" not in report.to_json()
+    assert "-0.0" not in run_matched(AnalysisConfig(lam=-0.0), symmetric, symmetric).to_json()
     assert report.warnings == ["both tables are fully symmetric: all coordinates sit at the origin"]
     for component in ("sum", "difference"):
         svg = (tmp_path / f"m_{component}.svg").read_text(encoding="utf-8")
@@ -287,13 +313,18 @@ def test_bowker_report(coffee):
     assert report.asymmetry is None
 
 
-def test_scan_report(coffee):
+def test_scan_report(coffee, opinions):
     report = run_scan(AnalysisConfig(), coffee, grid=[0.0, 0.5, 1.0])
     assert report.command == "scan"
     assert len(report.scan["grid"]) == 3
     assert report.scan["best_lambda"] in (0.0, 0.5, 1.0)
     text = report.to_csv()
     assert "scan_point" in text
+    # a grid point of -0.0 is written as 0.0, and its CSV key as 0.00; the adults peak there
+    report = run_scan(AnalysisConfig(), opinions[1], grid=[-0.0, 3.0])
+    assert "-0.0" not in report.to_json()
+    assert report.scan["grid"] == [0.0, 3.0] and report.scan["best_lambda"] == 0.0
+    assert "scan_point,,,0.00," in report.to_csv() and ",-0.00," not in report.to_csv()
 
 
 # ------------------------------------------------------------ JSON writer
