@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .divergence import AsymmetryProfile, _require_off_diagonal, asymmetry_measure
+from .divergence import AsymmetryProfile, asymmetry_measure
 from .divergence import pair_departures, upper_triangle
 from .errors import FullySymmetricError, InvalidParameterError, LambdaOutOfRangeError
 from .table import ContingencyTable, ProbabilityTable, _frozen, to_probabilities
@@ -252,7 +252,6 @@ def scan_lambda(t: ContingencyTable, grid: Sequence[float] | None = None) -> Lam
     if np.any(pts <= -1.0):
         raise LambdaOutOfRangeError("grid contains lam <= -1")
     p = to_probabilities(t)
-    _require_off_diagonal(p)
     upper = upper_triangle(p.size)
     a, b = p.p[upper], p.p.T[upper]
     step = max(1, SCAN_CHUNK_CELLS // p.size**2)

@@ -141,18 +141,25 @@ def pair_departures(a: np.ndarray, b: np.ndarray, delta: float, lams) -> PairDep
     with s1 = a/(a+b), s2 = 1 - s1, written with expm1 so that it stays
     accurate for lam within a few ulp of the lam = 0 branch point; equal
     and doubly-empty pairs get exactly 0. The divergence route sums the
-    definition over the occupied cells. The two measures must agree to
-    1e-12; a disagreement is a numerical defect, not a property of data.
+    definition over the occupied cells. The per-cell route cancels once
+    s^(1+lam) falls below eps; a lam whose two totals differ by more than
+    1e-11 relative gives each cell half its pair's divergence instead,
+    divided by 2^lam - 1 before 2 delta, a product that overflows near
+    lam = 1023. The two measures must then agree to 1e-12; a disagreement
+    is a numerical defect, not a property of data.
 
     Raises:
         LambdaOutOfRangeError: some lam <= -1 or non-finite, or the
-            measure overflows double precision there.
+            measure overflows double precision there; checked first.
+        DegenerateTableError: delta <= 0, all mass on the diagonal.
         ConsistencyError: the two routes disagree.
     """
     lams = np.asarray(lams, dtype=float).reshape(-1)
     bad = ~(lams > -1.0) | np.isinf(lams)
     if bad.any():
         raise LambdaOutOfRangeError(f"lam must be a finite number > -1, got {lams[bad][0]}")
+    if not delta > 0.0:
+        raise DegenerateTableError("all mass on the diagonal: asymmetry is undefined")
     near0 = np.abs(lams) < LAMBDA_ZERO_TOL
     # the generic formulas run at lam = 1 on near-zero rows, which then take
     # the analytic lam -> 0 limit instead
@@ -168,17 +175,6 @@ def pair_departures(a: np.ndarray, b: np.ndarray, delta: float, lams) -> PairDep
         if not np.isfinite(em).all():
             raise _overflow("measure", lams, np.isfinite(em))
 
-        # divergence route: the ratio 2 p_ij / (p_ij + p_ji) of each occupied cell
-        divergence = np.zeros(lams.size)
-        log_divergence = 0.0
-        for own in (a, b):
-            share.fill(0.5)
-            np.divide(own, tot, out=share, where=own > 0.0)
-            share *= 2.0
-            np.log(share, out=logs)
-            divergence += _weighted_expm1(generic, logs, own, work).sum(axis=1)
-            log_divergence += own @ logs
-
         # per-cell route: s1 = a / (a + b), then s2 = 1 - s1 in the same buffer,
         # the exact complement, which keeps 1 - s1 - s2 identically zero
         share.fill(0.0)
@@ -193,6 +189,20 @@ def pair_departures(a: np.ndarray, b: np.ndarray, delta: float, lams) -> PairDep
                 logs *= share
                 entropy += logs
             np.subtract(1.0, share, out=share)
+
+        # divergence route: the ratio 2 p_ij / (p_ij + p_ji) of each occupied cell;
+        # work ends with each pair's sum, in which its two terms cancel near lam = -1
+        a_terms = np.empty_like(work)
+        log_divergence = 0.0
+        for own, out in ((a, a_terms), (b, work)):
+            share.fill(0.5)
+            np.divide(own, tot, out=share, where=own > 0.0)
+            share *= 2.0
+            np.log(share, out=logs)
+            _weighted_expm1(generic, logs, own, out)
+            log_divergence += own @ logs
+        work += a_terms
+        divergence = work.sum(axis=1)
     # cells now holds s1^(1+lam) + s2^(1+lam) - 1
     cells *= (1.0 + 1.0 / em)[:, None]
     cells += 1.0
@@ -208,6 +218,11 @@ def pair_departures(a: np.ndarray, b: np.ndarray, delta: float, lams) -> PairDep
     finite = np.isfinite(totals) & np.isfinite(other)
     if not finite.all():
         raise _overflow("measure", lams, finite)
+    # rows where the per-cell route cancelled take the divergence route
+    lost = ~near0 & (np.abs(totals - other) > 1e-11 * other)
+    if lost.any():
+        cells[lost] = np.maximum(work[lost] / em[lost][:, None] / (2.0 * delta), 0.0)
+        totals[lost] = 2.0 * cells[lost].sum(axis=1)
     gap = np.abs(totals - other)
     if gap.max() > 1e-12:
         worst = int(np.argmax(gap))
@@ -234,11 +249,6 @@ def bowker_statistic(t: ContingencyTable) -> BowkerResult:
     return BowkerResult(statistic=stat, dof=dof, p_value=chi_square_sf(dof, stat))
 
 
-def _require_off_diagonal(p: ProbabilityTable) -> None:
-    if p.delta <= 0.0:
-        raise DegenerateTableError("all mass on the diagonal: asymmetry is undefined")
-
-
 def asymmetry_measure(p: ProbabilityTable, lam: float) -> AsymmetryProfile:
     """The [0,1] asymmetry measure with its per-cell decomposition.
 
@@ -250,7 +260,6 @@ def asymmetry_measure(p: ProbabilityTable, lam: float) -> AsymmetryProfile:
         DegenerateTableError: every observation is on the diagonal.
     """
     lam = require_lambda(lam)
-    _require_off_diagonal(p)
     upper = upper_triangle(p.size)
     a, b = p.p[upper], p.p.T[upper]
     pairs = pair_departures(a, b, p.delta, lam)
@@ -283,7 +292,6 @@ def power_divergence_statistic(t: ContingencyTable, lam: float) -> float:
     """
     lam = require_lambda(lam)
     p = to_probabilities(t)
-    _require_off_diagonal(p)
     upper = upper_triangle(p.size)
     pairs = pair_departures(p.p[upper], p.p.T[upper], p.delta, lam)
     stat = 2.0 * t.n * float(pairs.divergence[0])

@@ -146,7 +146,8 @@ class AnalysisReport:
             if isinstance(value, bool):
                 value = str(value).lower()
             elif isinstance(value, float):
-                value = f"{value:.6f}"
+                # a noise-level negative rounds to -0.000000, written as zero
+                value = f"{value:.6f}".replace("-0.000000", "0.000000")
             writer.writerow([record, axis, label, key, value])
 
         def numbered(record: str, values) -> None:

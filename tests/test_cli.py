@@ -328,6 +328,20 @@ def test_exit_code_3_for_symmetric_scan(capsys, tmp_path):
     assert "symmetric" in err
 
 
+def test_asymmetry_at_large_lambda_is_not_reported_as_symmetric(capsys, tmp_path):
+    table = tmp_path / "t.csv"
+    table.write_text(",a,b,c\na,50,30,10\nb,20,40,25\nc,12,18,60\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(table), "--lambda", "100")
+    assert code == 0, err
+    report = json.loads(out)
+    # 50-digit value of the definition
+    assert report["asymmetry"]["phi_total"] == pytest.approx(1.76522802719417e-23, rel=1e-10)
+    assert report["warnings"] == [] and report["regions"]
+    code, out, err = run_cli(capsys, "scan", str(table), "--grid=0:100:10")
+    assert code == 0, err
+    assert json.loads(out)["scan"]["grid"][-1] == 100.0
+
+
 def test_exit_code_2_for_non_finite_grid(capsys, coffee_csv):
     for grid in ("0:1e308:1e-308", "nan:1:0.1", "0:inf:1"):
         code, _, err = run_cli(capsys, "scan", str(coffee_csv), "--grid", grid)

@@ -1,3 +1,4 @@
+import decimal
 import math
 import warnings
 
@@ -411,6 +412,42 @@ def test_kernel_rejects_bad_lambdas():
     for bad in ([0.5, -1.0], [float("nan")], [float("inf")], -3.0):
         with pytest.raises(LambdaOutOfRangeError):
             pair_departures(a, b, delta, bad)
+    # no off-diagonal mass: the measure is undefined, reported after a bad lam
+    for pair in ((0.25, 0.0), (0.0, 0.0)):
+        a, b = np.array([pair[0]]), np.array([pair[1]])
+        with pytest.raises(DegenerateTableError, match="all mass on the diagonal"):
+            pair_departures(a, b, 0.0, [1.0])
+        with pytest.raises(LambdaOutOfRangeError):
+            pair_departures(a, b, 0.0, [-1.0])
+
+
+def decimal_phi(counts, lam: int) -> float:
+    """The measure from its definition in 50-digit decimal arithmetic, at an integer lam."""
+    with decimal.localcontext(decimal.Context(prec=50)):
+        c = [[decimal.Decimal(int(x)) for x in row] for row in counts]
+        off = [(c[i][j], c[j][i]) for i in range(len(c)) for j in range(len(c)) if i != j]
+        delta = sum(x for x, _ in off)
+        num = sum(x * ((2 * x / (x + y)) ** lam - 1) for x, y in off if x > 0)
+        return float(num / (delta * (decimal.Decimal(2) ** lam - 1)))
+
+
+def test_measure_keeps_its_digits_at_large_lambda(rng):
+    # past lam ~ 60 the per-cell route cancels to 0; the kernel falls back per lam
+    tables = [[[50, 30, 10], [20, 40, 25], [12, 18, 60]]]
+    tables += [rng.integers(1, 40, size=(size, size)) for size in (2, 4, 6, 8)]
+    for counts in tables:
+        size = len(counts)
+        p = to_probabilities(validate_table([f"c{k}" for k in range(size)], counts))
+        for lam in (20, 60, 100, 300, 700):
+            expected = decimal_phi(counts, lam)
+            assert asymmetry_measure(p, lam).phi_total == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
+def test_statistic_is_consistent_near_minus_one_and_at_large_lambda(rng):
+    for _ in range(40):
+        t = random_table(rng, int(rng.integers(2, 9)))
+        for lam in (-0.999999999, 20.0, 100.0, 700.0):
+            assert math.isfinite(power_divergence_statistic(t, lam))
 
 
 def test_measure_matches_kernel_cells(coffee):

@@ -2,6 +2,7 @@ import collections
 import gc
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -32,6 +33,13 @@ from skewca.reporting import (
 )
 from skewca.reporting import _json_text
 from skewca.table import validate_table
+
+_NEGATIVE_ZERO = re.compile(r"-0\.0+(?![0-9])")
+
+
+def negative_zeros(text: str) -> list[str]:
+    """Every negative zero a report text writes: -0.0 in JSON, -0.000000 in CSV."""
+    return _NEGATIVE_ZERO.findall(text)
 
 
 def test_resolve_lambda_named_values():
@@ -108,7 +116,7 @@ def test_analyze_symmetric_table_warns_and_skips_regions():
         assert any("fully symmetric" in w for w in report.warnings)
         assert report.decomposition["fully_symmetric"] is True
         # a negative vector entry times a zero value must not print as -0.0
-        assert "-0.0" not in report.to_json()
+        assert not negative_zeros(report.to_json())
 
 
 def test_analyze_writes_no_negative_zero():
@@ -124,7 +132,20 @@ def test_analyze_writes_no_negative_zero():
             for lam in (1.0, -0.0):
                 config = AnalysisConfig(lam=lam, metric=metric)
                 report = run_analyze(config, validate_table(list("abcd"), counts))
-                assert "-0.0" not in report.to_json(), (counts, metric, lam)
+                assert not negative_zeros(report.to_json()), (counts, metric, lam)
+
+
+def test_reports_write_no_negative_zero_in_either_format(coffee, opinions):
+    reports = (
+        run_analyze(AnalysisConfig(), coffee),
+        run_matched(AnalysisConfig(metric="identity"), *opinions),
+    )
+    for report in reports:
+        # noise-level negatives such as -1e-17 must not print as -0.000000 in the CSV
+        for text in (report.to_json(), report.to_csv()):
+            assert not negative_zeros(text), report.command
+    # a negative value that starts with -0.0 is not a negative zero
+    assert negative_zeros("-0.0,-0.000000,-0.0134,-0.00") == ["-0.0", "-0.000000", "-0.00"]
 
 
 def test_analyze_2x2_skips_regions():
@@ -282,8 +303,8 @@ def test_matched_report_on_two_symmetric_tables(tmp_path):
     report = run_matched(config, symmetric, symmetric)
     assert report.matched["block_total_inertia"] == 0.0
     # a negative vector entry times a zero value must not print as -0.0, nor lam = -0.0
-    assert "-0.0" not in report.to_json()
-    assert "-0.0" not in run_matched(AnalysisConfig(lam=-0.0), symmetric, symmetric).to_json()
+    assert not negative_zeros(report.to_json())
+    assert not negative_zeros(run_matched(AnalysisConfig(lam=-0.0), symmetric, symmetric).to_json())
     assert report.warnings == ["both tables are fully symmetric: all coordinates sit at the origin"]
     for component in ("sum", "difference"):
         svg = (tmp_path / f"m_{component}.svg").read_text(encoding="utf-8")
@@ -322,7 +343,7 @@ def test_scan_report(coffee, opinions):
     assert "scan_point" in text
     # a grid point of -0.0 is written as 0.0, and its CSV key as 0.00; the adults peak there
     report = run_scan(AnalysisConfig(), opinions[1], grid=[-0.0, 3.0])
-    assert "-0.0" not in report.to_json()
+    assert not negative_zeros(report.to_json())
     assert report.scan["grid"] == [0.0, 3.0] and report.scan["best_lambda"] == 0.0
     assert "scan_point,,,0.00," in report.to_csv() and ",-0.00," not in report.to_csv()
 
