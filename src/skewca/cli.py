@@ -190,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _build_config(args)
         output = getattr(args, "output", None)
-        if output and config.output_format == "csv" and Path(output).suffix == ".json":
+        if output and config.output_format == "csv" and Path(output).suffix.lower() == ".json":
             raise InputError(
                 f"a CSV report to {output!r} would be overwritten by its JSON companion"
             )

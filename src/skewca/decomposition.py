@@ -25,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .divergence import AsymmetryProfile, asymmetry_measure
-from .divergence import pair_departures, upper_triangle
-from .errors import FullySymmetricError, InvalidParameterError, LambdaOutOfRangeError
+from .divergence import pair_departures, require_lambda, upper_triangle
+from .errors import FullySymmetricError, InvalidParameterError
 from .table import ContingencyTable, ProbabilityTable, _frozen, to_probabilities
 
 METRICS = ("averaged", "identity")
@@ -240,17 +240,16 @@ def scan_lambda(t: ContingencyTable, grid: Sequence[float] | None = None) -> Lam
     Reports the first (smallest) lam attaining the maximum summed
     contribution of the two leading dimensions, together with the full
     profile in grid order. The contribution is 2 mu_1^2 / Phi(lam), which
-    no metric changes; mu_1^2 is the largest eigenvalue of S^T S = -S^2.
-    The measure kernel runs over a chunk of grid points at a time, its
-    totals Phi are the inertias, and one batched eigensolve of -S^2 yields
-    every mu_1^2 of the chunk; a chunk holds at most SCAN_CHUNK_CELLS
-    skew-matrix entries.
+    no metric changes; mu_1^2 is the largest eigenvalue of S^T S = -S^2,
+    and the percentage is capped at 100 against rounding. An explicit grid
+    passes ``require_lambda`` point by point before any work. The measure
+    kernel runs over a chunk of grid points at a time, its totals Phi are
+    the inertias, and one batched eigensolve of -S^2 yields every mu_1^2 of
+    the chunk; a chunk holds at most SCAN_CHUNK_CELLS skew-matrix entries.
     """
-    pts = default_lambda_grid() if grid is None else np.asarray(list(grid), dtype=float)
+    pts = default_lambda_grid() if grid is None else np.array([require_lambda(x) for x in grid])
     if pts.size == 0:
         raise InvalidParameterError("empty lambda grid")
-    if np.any(pts <= -1.0):
-        raise LambdaOutOfRangeError("grid contains lam <= -1")
     p = to_probabilities(t)
     upper = upper_triangle(p.size)
     a, b = p.p[upper], p.p.T[upper]
@@ -267,7 +266,7 @@ def scan_lambda(t: ContingencyTable, grid: Sequence[float] | None = None) -> Lam
         skew = _skew_stack(p, upper, departures.cells)
         top = np.linalg.eigvalsh(-(skew @ skew))[:, -1]
         inertias[chunk] = departures.totals
-        contribs[chunk] = 200.0 * top / departures.totals
+        contribs[chunk] = np.minimum(200.0 * top / departures.totals, 100.0)
     # ties go to the smaller lam; a small tolerance keeps the rule meaningful
     # when two grid points agree to rounding noise
     best = int(np.argmax(contribs >= contribs.max() - 1e-9))

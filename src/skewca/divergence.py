@@ -97,8 +97,8 @@ class PairDepartures:
 
     ``cells[l, k]`` is the departure carried by each cell of pair k at
     the l-th lam; ``totals[l]`` is the measure by the per-cell route (twice
-    the row sum of ``cells``), and ``divergence[l]`` the unscaled
-    divergence sum over occupied off-diagonal cells,
+    the row sum of ``cells``), capped at 1 against rounding, and
+    ``divergence[l]`` the unscaled divergence sum over occupied off-diagonal cells,
     sum p_ij [(2 p_ij / (p_ij + p_ji))^lam - 1] (sum p_ij ln(...) at lam = 0).
     """
 
@@ -230,6 +230,7 @@ def pair_departures(a: np.ndarray, b: np.ndarray, delta: float, lams) -> PairDep
             f"asymmetry measure mismatch between definitions at lam={lams[worst]}: "
             f"{totals[worst]!r} vs {other[worst]!r}"
         )
+    np.minimum(totals, 1.0, out=totals)
     return PairDepartures(cells=cells, totals=totals, divergence=divergence)
 
 
@@ -274,8 +275,7 @@ def asymmetry_measure(p: ProbabilityTable, lam: float) -> AsymmetryProfile:
     return AsymmetryProfile(
         lam=lam,
         delta=p.delta,
-        # guard the upper bound against accumulated rounding
-        phi_total=min(float(pairs.totals[0]), 1.0),
+        phi_total=float(pairs.totals[0]),
         phi_cells=_frozen(cells),
         zero_pair_cells=zero_pairs,
     )
@@ -299,8 +299,7 @@ def power_divergence_statistic(t: ContingencyTable, lam: float) -> float:
         stat /= lam * (lam + 1.0)
     if not math.isfinite(stat):
         raise LambdaOutOfRangeError(f"statistic overflows double precision at lam={lam}")
-    phi_total = min(float(pairs.totals[0]), 1.0)
-    via_measure = 2.0 * t.n * p.delta * phi_total / power_divergence_scale(lam)
+    via_measure = 2.0 * t.n * p.delta * float(pairs.totals[0]) / power_divergence_scale(lam)
     if abs(stat - via_measure) > 1e-10 * max(1.0, abs(stat)):
         raise ConsistencyError(
             f"power-divergence statistic mismatch: {stat!r} vs {via_measure!r}"

@@ -88,17 +88,20 @@ def test_csv_output_with_json_companion(capsys, coffee_csv, tmp_path):
 
 
 def test_csv_output_to_a_json_path_is_rejected_before_writing(capsys, coffee_csv, tmp_path):
-    # the JSON companion of rep.json is rep.json itself, so the CSV would be lost
-    out_path, svg_path = tmp_path / "rep.json", tmp_path / "p.svg"
-    code, out, err = run_cli(
-        capsys, "analyze", str(coffee_csv), "--format", "csv", "-o", str(out_path),
-        "--svg", str(svg_path),
-    )
-    assert code == 2
-    assert out == ""
-    message = f"a CSV report to {str(out_path)!r} would be overwritten by its JSON companion"
-    assert err == f"error: {message}\n"
-    assert not out_path.exists() and not svg_path.exists()
+    # the JSON companion of rep.json is rep.json itself, so the CSV would be lost;
+    # on a case-insensitive file system rep.JSON is that same file
+    svg_path = tmp_path / "p.svg"
+    for out_path in (tmp_path / "rep.json", tmp_path / "rep.JSON"):
+        code, out, err = run_cli(
+            capsys, "analyze", str(coffee_csv), "--format", "csv", "-o", str(out_path),
+            "--svg", str(svg_path),
+        )
+        assert code == 2
+        assert out == ""
+        message = f"a CSV report to {str(out_path)!r} would be overwritten by its JSON companion"
+        assert err == f"error: {message}\n"
+        assert not out_path.exists() and not svg_path.exists()
+        assert not out_path.with_suffix(".json").exists()
 
 
 def test_bowker_command(capsys, coffee_csv):

@@ -420,6 +420,12 @@ def test_scan_2x2_returns_grid_minimum():
     result = scan_lambda(table22(3, 1), grid=np.arange(-0.5, 1.51, 0.25))
     assert result.best_lambda == -0.5
     assert all(abs(c - 100.0) < 1e-9 for c in result.contributions)
+    # a rank-2 skew matrix puts all of Phi on dims 1-2 at every lam, and the
+    # contribution is a percentage even where mu_1^2 and Phi round apart
+    rank2 = validate_table(["a", "b", "c"], [[5, 9, 1], [2, 6, 4], [3, 1, 7]])
+    result = scan_lambda(rank2)
+    assert max(result.contributions) <= 100.0
+    assert result.best_contribution == 100.0
 
 
 def test_scan_symmetric_table_errors():
@@ -452,11 +458,18 @@ def test_default_grid_shape():
     assert np.all(grid > -1.0)
 
 
-def test_scan_rejects_bad_grid(coffee):
+def test_scan_rejects_bad_grid(coffee, monkeypatch):
     with pytest.raises(LambdaOutOfRangeError):
         scan_lambda(coffee, grid=[-1.5, 0.0])
     with pytest.raises(InvalidParameterError):
         scan_lambda(coffee, grid=[])
+    # the grid is checked before any chunk, so a symmetric first chunk
+    # cannot report its own error ahead of a bad point further on
+    monkeypatch.setattr(decomposition, "SCAN_CHUNK_CELLS", 1)
+    symmetric = validate_table(["a", "b", "c"], [[1, 2, 3], [2, 1, 4], [3, 4, 1]])
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(LambdaOutOfRangeError):
+            scan_lambda(symmetric, grid=[1.0, bad])
 
 
 def per_point_scan(t, grid, metric="averaged"):
@@ -490,6 +503,9 @@ def test_batched_scan_matches_per_point_decompose(coffee, opinions, rng):
     sparse = validate_table(["a", "b", "c", "d", "e"], [[0, 3, 0, 1, 0], [1, 0, 0, 2, 2],
                                                          [0, 0, 4, 0, 0], [5, 2, 0, 0, 1],
                                                          [0, 0, 0, 7, 0]])
+    # every pair one-sided: Phi is 1 at every lam, and the scan must not read it above 1
+    one_sided = validate_table(["a", "b", "c"], [[0, 1, 4], [0, 0, 1], [0, 0, 0]])
+    assert_scan_matches_per_point(scan_lambda(one_sided), one_sided, grid)
     tables = [sparse] + [random_table(rng, int(rng.integers(2, 10))) for _ in range(8)]
     small_grid = np.concatenate((grid[::37], [-1e-11, 1e-11, 1e-9]))
     for t in tables:
