@@ -25,6 +25,7 @@ from .reporting import (
     PLOT_AXES,
     AnalysisConfig,
     AnalysisReport,
+    matched_svg_paths,
     render_report,
     run_analyze,
     run_bowker,
@@ -73,13 +74,6 @@ def _parse_dims(text: str) -> tuple[int, int]:
         raise InputError(f"--dims expects integers, got {text!r}") from None
 
 
-def _parse_alpha(value: str | float) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise InvalidAlphaError(f"alpha must be a number, got {value!r}") from None
-
-
 def _parse_grid(text: str):
     parts = text.split(":")
     if len(parts) != 3:
@@ -98,7 +92,10 @@ def _parse_grid(text: str):
     # "not <" also rejects a span that overflowed to infinity
     if not last < MAX_GRID_POINTS:
         raise InputError(f"--grid holds more than {MAX_GRID_POINTS} points, got {text!r}")
-    return [round(start + k * step, 12) for k in range(math.floor(last) + 1)]
+    points = [round(start + k * step, 12) for k in range(math.floor(last) + 1)]
+    if len(set(points)) < len(points):
+        raise InputError(f"--grid points coincide after rounding to 12 decimals, got {text!r}")
+    return points
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -164,7 +161,10 @@ def _build_config(args: argparse.Namespace) -> AnalysisConfig:
         if getattr(args, key, None) is not None:
             values[key] = getattr(args, key)
     if "alpha" in values:
-        values["alpha"] = _parse_alpha(values["alpha"])
+        try:
+            values["alpha"] = float(values["alpha"])
+        except ValueError:
+            raise InvalidAlphaError(f"alpha must be a number, got {values['alpha']!r}") from None
     if "dims" in values:
         values["dims"] = _parse_dims(values["dims"])
     if args.command == "matched":
@@ -175,11 +175,10 @@ def _build_config(args: argparse.Namespace) -> AnalysisConfig:
 def _emit(report: AnalysisReport, config: AnalysisConfig, output: str | None) -> None:
     text = render_report(report, config.output_format)
     if output:
-        out_path = Path(output)
-        out_path.write_text(text, encoding="utf-8")
+        Path(output).write_text(text, encoding="utf-8")
         if config.output_format == "csv":
             # full-precision companion next to the rounded CSV
-            out_path.with_suffix(".json").write_text(report.to_json(), encoding="utf-8")
+            Path(output).with_suffix(".json").write_text(report.to_json(), encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -191,9 +190,16 @@ def main(argv: list[str] | None = None) -> int:
         config = _build_config(args)
         output = getattr(args, "output", None)
         if output and config.output_format == "csv" and Path(output).suffix.lower() == ".json":
-            raise InputError(
-                f"a CSV report to {output!r} would be overwritten by its JSON companion"
-            )
+            raise InputError(f"a CSV report to {output!r} would be overwritten by its JSON companion")
+        written = [Path(output)] if output else []
+        if output and config.output_format == "csv":
+            written.append(Path(output).with_suffix(".json"))
+        if config.svg_path and args.command == "analyze":
+            written.append(Path(config.svg_path))
+        if config.svg_path and args.command == "matched":
+            written += matched_svg_paths(config.svg_path).values()
+        if len({str(path.resolve()).casefold() for path in written}) < len(written):
+            raise InputError(f"two outputs of this run name the same file: {[str(p) for p in written]}")
         if args.command == "analyze":
             report = run_analyze(config, load_table(args.table))
         elif args.command == "matched":

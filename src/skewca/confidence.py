@@ -57,9 +57,9 @@ def confidence_regions(
     q_alpha c_lam / (2 n delta Phi) = q_alpha / T_lam. The in-plane mass
     a_i1^2 + a_i2^2 is the same for the row and the column point, because
     the right vectors are the left ones with each pair swapped and one
-    column negated, so both axes share one radius per category. A
-    category with no in-plane mass gets radius 0, and its circle covers
-    the origin only if it sits exactly there.
+    column negated, so both axes share one radius per category. Every
+    circle of positive radius covers the origin exactly when calibration >= 1;
+    one with no in-plane mass gets radius 0 and covers it only if it sits there.
 
     The checks run in this order, and each message is the reason
     ``run_analyze`` gives when it skips the circles.
@@ -82,6 +82,7 @@ def confidence_regions(
     quantile = chi_square_quantile(size * (size - 1) // 2, alpha)
     scale = power_divergence_scale(profile.lam)
     calibration = quantile * scale / (2.0 * t.n * profile.delta * dec.total_inertia)
+    covers = calibration >= 1.0
     a = dec.left_vectors
     radii = dec.metric_weights * float(dec.singular_values[0]) * np.sqrt(
         calibration * (a[:, 0] ** 2 + a[:, 1] ** 2)
@@ -94,7 +95,7 @@ def confidence_regions(
             center=(cx, cy),
             radius=r,
             alpha=float(alpha),
-            contains_origin=(cx / r) ** 2 + (cy / r) ** 2 <= 1.0 if r > 0.0 else cx == cy == 0.0,
+            contains_origin=covers if r > 0.0 else cx == cy == 0.0,
         )
         for axis, coords in (("row", dec.row_coords), ("column", dec.col_coords))
         for i, ((cx, cy), r) in enumerate(zip(coords[:, :2].tolist(), radii.tolist()))

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .divergence import AsymmetryProfile, asymmetry_measure
-from .divergence import pair_departures, require_lambda, upper_triangle
+from .divergence import pair_departures, require_lambda, symmetric_cells, upper_triangle
 from .errors import FullySymmetricError, InvalidParameterError
 from .table import ContingencyTable, ProbabilityTable, _frozen, to_probabilities
 
@@ -109,24 +109,8 @@ def skew_matrix(p: ProbabilityTable, lam: float) -> np.ndarray:
 
 
 def skew_from_profile(p: ProbabilityTable, profile: AsymmetryProfile) -> np.ndarray:
-    """The read-only skew matrix of an already computed asymmetry profile."""
-    upper = upper_triangle(p.size)
-    return _frozen(_skew_stack(p, upper, profile.phi_cells[upper][None])[0])
-
-
-def _skew_stack(p: ProbabilityTable, upper: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """(L, R, R) skew matrices from (L, P) upper-triangle cell departures.
-
-    The (i, j) entry, i < j, is sign(p_ij - p_ji) sqrt(departure); the
-    (j, i) entry is its negative and the diagonal is zero, so antisymmetry
-    holds by construction.
-    """
-    roots = np.sqrt(cells)
-    roots *= np.sign(p.p[upper] - p.p.T[upper])
-    stack = np.zeros((len(cells), p.size, p.size))
-    stack[:, upper] = roots
-    stack.transpose(0, 2, 1)[:, upper] = np.negative(roots, out=roots)
-    return stack
+    """Read-only sign(P - P^T) * sqrt(cells) of a computed profile; "+ 0.0" makes every zero +0.0."""
+    return _frozen(np.sign(p.p - p.p.T) * np.sqrt(profile.phi_cells) + 0.0)
 
 
 def _oriented(cols: np.ndarray) -> np.ndarray:
@@ -220,13 +204,11 @@ def decompose(s: np.ndarray, p: ProbabilityTable, metric: str = "averaged") -> S
 def origin_distances(dec: SymmetryDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """Distance of each category's row and column point from the origin.
 
-    A category sits at the origin exactly when its whole row and column
-    are symmetric.
+    A quarter turn keeps distances, so both sides get one read-only array.
+    A category sits at the origin exactly when its whole row and column are symmetric.
     """
-    return (
-        np.linalg.norm(dec.row_coords, axis=1),
-        np.linalg.norm(dec.col_coords, axis=1),
-    )
+    distances = _frozen(np.linalg.norm(dec.row_coords, axis=1))
+    return distances, distances
 
 
 def default_lambda_grid() -> np.ndarray:
@@ -253,6 +235,7 @@ def scan_lambda(t: ContingencyTable, grid: Sequence[float] | None = None) -> Lam
     p = to_probabilities(t)
     upper = upper_triangle(p.size)
     a, b = p.p[upper], p.p.T[upper]
+    sign = np.sign(p.p - p.p.T)
     step = max(1, SCAN_CHUNK_CELLS // p.size**2)
     contribs = np.empty(pts.size)
     inertias = np.empty(pts.size)
@@ -263,7 +246,8 @@ def scan_lambda(t: ContingencyTable, grid: Sequence[float] | None = None) -> Lam
             raise FullySymmetricError(
                 "fully symmetric table: the contribution profile is undefined at every lam"
             )
-        skew = _skew_stack(p, upper, departures.cells)
+        skew = symmetric_cells(np.sqrt(departures.cells, out=departures.cells), upper)
+        skew *= sign
         top = np.linalg.eigvalsh(-(skew @ skew))[:, -1]
         inertias[chunk] = departures.totals
         contribs[chunk] = np.minimum(200.0 * top / departures.totals, 100.0)

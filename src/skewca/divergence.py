@@ -117,6 +117,15 @@ def upper_triangle(size: int) -> np.ndarray:
     return index[:, None] < index
 
 
+def symmetric_cells(cells: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """(L, R, R) symmetric matrices from (L, P) pair departures gathered by ``upper``."""
+    stack = np.zeros((len(cells), *upper.shape))
+    mask = upper[None].repeat(len(cells), axis=0)  # a full-depth mask takes numpy's fast path
+    stack[mask] = cells.ravel()
+    stack.transpose(0, 2, 1)[mask] = cells.ravel()
+    return stack
+
+
 def _overflow(what: str, lams: np.ndarray, finite: np.ndarray) -> LambdaOutOfRangeError:
     return LambdaOutOfRangeError(
         f"{what} overflows double precision at lam={float(lams[~finite][0])}"
@@ -264,9 +273,6 @@ def asymmetry_measure(p: ProbabilityTable, lam: float) -> AsymmetryProfile:
     upper = upper_triangle(p.size)
     a, b = p.p[upper], p.p.T[upper]
     pairs = pair_departures(a, b, p.delta, lam)
-    cells = np.zeros((p.size, p.size))
-    cells[upper] = pairs.cells[0]
-    cells.T[upper] = pairs.cells[0]
     zero_pairs: tuple[tuple[int, int], ...] = ()
     empty = np.flatnonzero(a + b == 0.0)
     if empty.size:
@@ -276,7 +282,7 @@ def asymmetry_measure(p: ProbabilityTable, lam: float) -> AsymmetryProfile:
         lam=lam,
         delta=p.delta,
         phi_total=float(pairs.totals[0]),
-        phi_cells=_frozen(cells),
+        phi_cells=_frozen(symmetric_cells(pairs.cells, upper)[0]),
         zero_pair_cells=zero_pairs,
     )
 

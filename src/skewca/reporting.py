@@ -448,6 +448,12 @@ def run_analyze(config: AnalysisConfig, table: ContingencyTable) -> AnalysisRepo
     return report
 
 
+def matched_svg_paths(svg_path: str) -> dict[str, Path]:
+    """The sum and difference plots of a matched run: <stem>_sum.svg and <stem>_difference.svg."""
+    base = Path(svg_path)
+    return {part: base.with_name(f"{base.stem}_{part}.svg") for part in ("sum", "difference")}
+
+
 def run_matched(
     config: AnalysisConfig, t1: ContingencyTable, t2: ContingencyTable
 ) -> AnalysisReport:
@@ -489,8 +495,7 @@ def run_matched(
         else ["both tables are fully symmetric: all coordinates sit at the origin"],
     )
     if config.svg_path:
-        base = Path(config.svg_path)
-        for component in ("sum", "difference"):
+        for component, path in matched_svg_paths(config.svg_path).items():
             values = getattr(coords, f"{component}_singular_values")
             svg = _plot_svg(
                 analysis.labels,
@@ -500,7 +505,7 @@ def run_matched(
                 component,
                 config,
             )
-            base.with_name(f"{base.stem}_{component}.svg").write_text(svg, encoding="utf-8")
+            path.write_text(svg, encoding="utf-8")
     return report
 
 

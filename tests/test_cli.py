@@ -104,6 +104,25 @@ def test_csv_output_to_a_json_path_is_rejected_before_writing(capsys, coffee_csv
         assert not out_path.with_suffix(".json").exists()
 
 
+def test_two_outputs_naming_one_file_are_rejected_before_writing(capsys, coffee_csv, tmp_path):
+    # the report would replace the plot, the CSV's JSON companion the plot, and
+    # the matched report its sum plot
+    table = str(coffee_csv)
+
+    def at(name):
+        return str(tmp_path / name)
+
+    for argv in (
+        ["analyze", table, "--svg", at("x.svg"), "-o", at("x.svg")],
+        ["analyze", table, "--format", "csv", "-o", at("r.csv"), "--svg", at("r.json")],
+        ["matched", table, table, "--svg", at("o.svg"), "-o", at("o_sum.svg")],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "name the same file" in err, argv
+        assert [path.name for path in tmp_path.iterdir()] == ["coffee.csv"], argv
+
+
 def test_bowker_command(capsys, coffee_csv):
     code, out, _ = run_cli(capsys, "bowker", str(coffee_csv))
     assert code == 0
@@ -346,7 +365,8 @@ def test_asymmetry_at_large_lambda_is_not_reported_as_symmetric(capsys, tmp_path
 
 
 def test_exit_code_2_for_non_finite_grid(capsys, coffee_csv):
-    for grid in ("0:1e308:1e-308", "nan:1:0.1", "0:inf:1"):
+    # the last grid's points all round to 0.0 at 12 decimals
+    for grid in ("0:1e308:1e-308", "nan:1:0.1", "0:inf:1", "1e-20:1e-19:1e-21"):
         code, _, err = run_cli(capsys, "scan", str(coffee_csv), "--grid", grid)
         assert code == 2, grid
         assert "--grid" in err

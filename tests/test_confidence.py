@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from conftest import random_table
 from skewca import chisquare
 from skewca.chisquare import chi_square_cdf, chi_square_quantile, chi_square_sf
 from skewca.confidence import confidence_regions
@@ -263,6 +264,21 @@ def test_exclusion_matches_test_rejection(coffee, rng):
         rejects = stat > critical
         positive = [r for r in regions if r.radius > 1e-12]
         assert all(r.contains_origin != rejects for r in positive)
+    # at levels within 4 ulp of the p-value of the statistic the circles rebuild
+    # from the inertia, every circle off the origin reads the one table-level verdict
+    for t in [coffee] + [random_table(rng, int(rng.integers(3, 9))) for _ in range(40)]:
+        dof = t.size * (t.size - 1) // 2
+        for lam in (-0.5, 0.0, 2.0 / 3.0, 1.0):
+            p, profile, dec = analyze(t, lam)
+            if dec.fully_symmetric:
+                continue
+            p_value = chi_square_sf(dof, 2.0 * t.n * p.delta * dec.total_inertia / power_divergence_scale(lam))
+            alphas = [p_value + k * math.ulp(p_value) for k in (-4, 4)]
+            if t is coffee and lam == 1.0:
+                alphas.append(0.025585065792773396)
+            for alpha in (a for a in alphas if sys.float_info.min <= a < 1.0):
+                regions = confidence_regions(dec, t, profile, alpha)
+                assert len({r.contains_origin for r in regions if r.radius > 0.0}) == 1, (t.counts, lam, alpha)
 
 
 def loop_radii(dec, t, profile, alpha):

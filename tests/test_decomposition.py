@@ -69,14 +69,18 @@ def test_2x2_signed_root():
 
 def test_skew_from_profile_equals_skew_matrix(coffee, rng):
     tables = [coffee, validate_table(["a", "b", "c"], [[0, 3, 0], [1, 0, 0], [0, 0, 0]])]
+    tables.append(validate_table(["a", "b", "c"], [[0, 3, 0], [1, 0, 0], [0, 0, 1]]))
     tables += [random_table(rng, int(rng.integers(2, 8))) for _ in range(10)]
     for t in tables:
         p = to_probabilities(t)
-        for lam in (-0.5, 0.0, 1.0):
+        for lam in (-0.5, 0.0, 1.0, 100.0):
             via_profile = skew_from_profile(p, asymmetry_measure(p, lam))
             direct = skew_matrix(p, lam)
             assert np.array_equal(via_profile, direct)
             assert not via_profile.flags.writeable
+            # every zero is +0.0: the diagonal, equal or empty pairs, and (at lam = 100)
+            # unequal pairs whose departure is 0
+            assert not np.signbit(direct[direct == 0.0]).any()
 
 
 def test_skew_matches_oracle_and_reconstructs_measure(coffee, rng):
@@ -333,9 +337,11 @@ def test_origin_distances_match_oracle(coffee, rng):
         p = to_probabilities(t)
         for lam in (-0.5, 0.5, 1.0):
             dec = decompose(skew_matrix(p, lam), p)
-            rows, _ = origin_distances(dec)
+            rows, cols = origin_distances(dec)
             expected = oracle_origin_distances(np.asarray(p.p), lam)
             assert np.abs(rows - expected).max() < 1e-10
+            # a quarter turn keeps distances: one value per category, bit for bit
+            assert np.array_equal(rows, cols)
 
 
 def test_origin_distance_zero_iff_row_symmetric():
