@@ -186,6 +186,7 @@ def _emit(report: AnalysisReport, config: AnalysisConfig, output: str | None) ->
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    created: list[Path] = []
     try:
         config = _build_config(args)
         output = getattr(args, "output", None)
@@ -200,6 +201,7 @@ def main(argv: list[str] | None = None) -> int:
             written += matched_svg_paths(config.svg_path).values()
         if len({str(path.resolve()).casefold() for path in written}) < len(written):
             raise InputError(f"two outputs of this run name the same file: {[str(p) for p in written]}")
+        created = [path for path in written if not path.exists()]
         if args.command == "analyze":
             report = run_analyze(config, load_table(args.table))
         elif args.command == "matched":
@@ -210,14 +212,18 @@ def main(argv: list[str] | None = None) -> int:
             grid = _parse_grid(args.grid) if args.grid else None
             report = run_scan(config, load_table(args.table), grid)
         _emit(report, config, output)
+        return 0
     except (InputError, OSError) as exc:
         # every path the CLI opens was named by the user
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except SkewcaError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    return 0
+        code = 3
+    # a failed run leaves none of the files that it set out to create
+    for path in created:
+        path.unlink(missing_ok=True)
+    return code
 
 
 if __name__ == "__main__":

@@ -25,9 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from .divergence import AsymmetryProfile, asymmetry_measure
-from .divergence import pair_departures, require_lambda, symmetric_cells, upper_triangle
+from .divergence import departures, require_lambda, symmetric_cells
 from .errors import FullySymmetricError, InvalidParameterError
-from .table import ContingencyTable, ProbabilityTable, _frozen, to_probabilities
+from .table import ContingencyTable, ProbabilityTable, _frozen, upper_triangle
 
 METRICS = ("averaged", "identity")
 
@@ -197,7 +197,7 @@ def decompose(s: np.ndarray, p: ProbabilityTable, metric: str = "averaged") -> S
         col_coords=_frozen(_quarter_turn(row)),
         total_inertia=inertia,
         contributions=_frozen(_shares(svd.singular_values, inertia)),
-        fully_symmetric=not np.any(s),
+        fully_symmetric=not p.pairs.diffs.any(),
     )
 
 
@@ -232,25 +232,23 @@ def scan_lambda(t: ContingencyTable, grid: Sequence[float] | None = None) -> Lam
     pts = default_lambda_grid() if grid is None else np.array([require_lambda(x) for x in grid])
     if pts.size == 0:
         raise InvalidParameterError("empty lambda grid")
-    p = to_probabilities(t)
-    upper = upper_triangle(p.size)
-    a, b = p.p[upper], p.p.T[upper]
-    sign = np.sign(p.p - p.p.T)
-    step = max(1, SCAN_CHUNK_CELLS // p.size**2)
+    upper = upper_triangle(t.size)
+    sign = np.sign(t.counts - t.counts.T)
+    step = max(1, SCAN_CHUNK_CELLS // t.size**2)
     contribs = np.empty(pts.size)
     inertias = np.empty(pts.size)
     for start in range(0, pts.size, step):
         chunk = slice(start, start + step)
-        departures = pair_departures(a, b, p.delta, pts[chunk])
-        if not departures.cells.any(axis=1).all():
+        result = departures(t.pairs, pts[chunk])  # raises on delta = 0 first
+        if not t.pairs.diffs.any():
             raise FullySymmetricError(
                 "fully symmetric table: the contribution profile is undefined at every lam"
             )
-        skew = symmetric_cells(np.sqrt(departures.cells, out=departures.cells), upper)
+        skew = symmetric_cells(np.sqrt(result.cells, out=result.cells), upper)
         skew *= sign
         top = np.linalg.eigvalsh(-(skew @ skew))[:, -1]
-        inertias[chunk] = departures.totals
-        contribs[chunk] = np.minimum(200.0 * top / departures.totals, 100.0)
+        inertias[chunk] = result.totals
+        contribs[chunk] = np.minimum(200.0 * top / result.totals, 100.0)
     # ties go to the smaller lam; a small tolerance keeps the rule meaningful
     # when two grid points agree to rounding noise
     best = int(np.argmax(contribs >= contribs.max() - 1e-9))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -47,6 +48,32 @@ def _count_array(counts) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class CategoryPairs:
+    """The category pairs (i, j), i < j, of a table in row-major order: ``sums[k]`` and
+    ``diffs[k]`` are n_ij + n_ji and n_ij - n_ji, exact in int64; ``off_diagonal`` is the
+    total."""
+
+    sums: np.ndarray = field(repr=False)
+    diffs: np.ndarray = field(repr=False)
+    off_diagonal: float
+
+    @cached_property
+    def ratios(self) -> tuple[np.ndarray, np.ndarray]:
+        """r = |diffs| / sums, 0 on an empty pair, and 1 - r, from sums - |diffs| for its digits."""
+        gaps = np.abs(self.diffs)
+        safe = np.where(self.sums > 0, self.sums, 1)
+        return _frozen(gaps / safe), _frozen((safe - gaps) / safe)
+
+
+@lru_cache
+def upper_triangle(size: int) -> np.ndarray:
+    """Read-only mask of the cells (i, j), i < j: ``m[mask]`` and ``m.T[mask]`` gather the
+    two cells of every category pair of a square matrix ``m``, in row-major pair order."""
+    index = np.arange(size)
+    return _frozen(index[:, None] < index)
+
+
+@dataclass(frozen=True)
 class ContingencyTable:
     """Square table of non-negative integer counts with ordered category labels.
 
@@ -57,6 +84,7 @@ class ContingencyTable:
     labels: tuple[str, ...]
     counts: np.ndarray = field(repr=False)
     n: int
+    pairs: CategoryPairs = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -75,9 +103,9 @@ class ContingencyTable:
 class ProbabilityTable:
     """Empirical cell probabilities p_ij = n_ij / n with margins.
 
-    ``delta`` is the total off-diagonal mass, the normalizer of the
-    asymmetry measure. A table with delta == 0 carries no information
-    about symmetry and is rejected by downstream operations.
+    ``delta`` is the total off-diagonal mass, the normalizer of the asymmetry measure; a
+    table with delta == 0 carries no information about symmetry and is rejected downstream.
+    ``pairs`` is the counts' ``CategoryPairs``, which the measure reads.
     """
 
     labels: tuple[str, ...]
@@ -85,6 +113,7 @@ class ProbabilityTable:
     row_margins: np.ndarray = field(repr=False)
     col_margins: np.ndarray = field(repr=False)
     delta: float
+    pairs: CategoryPairs = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -130,18 +159,21 @@ def validate_table(labels: Sequence[str], counts) -> ContingencyTable:
             raise CountOverflowError(f"total count {total} does not fit in int64")
     if total < 1:
         raise EmptyTableError("table has no observations")
-    return ContingencyTable(labels=labels, counts=_frozen(arr), n=total)
+    upper = upper_triangle(size)
+    above = arr[upper]
+    below = arr.T[upper]
+    pairs = CategoryPairs(*map(_frozen, (above + below, above - below)), total - int(np.trace(arr)))
+    return ContingencyTable(labels=labels, counts=_frozen(arr), n=total, pairs=pairs)
 
 
 def to_probabilities(t: ContingencyTable) -> ProbabilityTable:
     """Convert counts to cell probabilities, margins, and off-diagonal mass."""
     p = t.counts / float(t.n)
-    off = p.copy()
-    np.fill_diagonal(off, 0.0)
     return ProbabilityTable(
         labels=t.labels,
         p=_frozen(p),
         row_margins=_frozen(p.sum(axis=1)),
         col_margins=_frozen(p.sum(axis=0)),
-        delta=float(off.sum()),
+        delta=t.pairs.off_diagonal / t.n,
+        pairs=t.pairs,
     )

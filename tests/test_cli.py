@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import skewca
+from conftest import DATA
 from skewca import cli
 from skewca.cli import main
 from skewca.decomposition import default_lambda_grid
@@ -279,6 +280,28 @@ def test_exit_code_2_for_unusable_named_paths(capsys, coffee_csv, tmp_path):
         assert err.startswith("error: ") and message in err, argv
 
 
+def test_failed_analyze_leaves_no_plot_behind(capsys, coffee_csv, tmp_path):
+    # the report cannot be written to a directory, and the plot was written first
+    svg = tmp_path / "p.svg"
+    argv = ("analyze", str(coffee_csv), "--svg", str(svg), "-o", str(tmp_path))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "Is a directory" in err
+    assert not svg.exists()
+    # a file that was there before the run is left in place
+    svg.write_text("kept", encoding="utf-8")
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 2 and svg.exists()
+
+
+def test_failed_matched_leaves_no_plots_behind(capsys, tmp_path):
+    tables = (str(DATA / "opinions_teens.csv"), str(DATA / "opinions_adults.csv"))
+    argv = ("matched", *tables, "--svg", str(tmp_path / "p.svg"), "-o", str(tmp_path))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "Is a directory" in err
+    assert not (tmp_path / "p_sum.svg").exists()
+    assert not (tmp_path / "p_difference.svg").exists()
+
+
 def test_exit_code_1_with_traceback_for_a_library_bug(capsys, coffee_csv, monkeypatch):
     def broken(*args):
         raise ValueError("internal bug")
@@ -362,6 +385,19 @@ def test_asymmetry_at_large_lambda_is_not_reported_as_symmetric(capsys, tmp_path
     code, out, err = run_cli(capsys, "scan", str(table), "--grid=0:100:10")
     assert code == 0, err
     assert json.loads(out)["scan"]["grid"][-1] == 100.0
+
+
+def test_asymmetry_below_double_precision_is_not_reported_as_symmetric(capsys, tmp_path):
+    table = tmp_path / "t.csv"
+    table.write_text(",a,b,c\na,0,100000001,5\nb,100000000,0,5\nc,5,5,0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(table), "--lambda", "1")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["asymmetry"]["phi_total"] == pytest.approx(2.4999997250000290e-17, rel=1e-12)
+    assert not report["decomposition"]["fully_symmetric"]
+    assert not any("symmetric" in warning for warning in report["warnings"])
+    code, out, err = run_cli(capsys, "scan", str(table))
+    assert code == 0, err
 
 
 def test_exit_code_2_for_non_finite_grid(capsys, coffee_csv):

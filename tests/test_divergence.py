@@ -360,6 +360,10 @@ def test_kernel_special_pairs():
     # a lone one-sided table measures exactly one at every lam
     lone = pair_departures(np.array([0.25]), np.array([0.0]), 0.25, KERNEL_LAMBDAS)
     assert np.allclose(lone.totals, 1.0, rtol=0.0, atol=1e-15)
+    # a negligible pair beside a dominant one keeps its own digits at large lam
+    beside = pair_departures(np.array([0.3, 0.2]), np.array([0.0, 0.1]), 0.6, [100.0])
+    assert beside.cells[0, 0] == 0.25
+    assert beside.cells[0, 1] == pytest.approx(4.0994240442977433e-19, rel=1e-12, abs=0.0)
 
 
 def test_kernel_is_continuous_across_the_branch_point():
@@ -421,14 +425,22 @@ def test_kernel_rejects_bad_lambdas():
             pair_departures(a, b, 0.0, [-1.0])
 
 
-def decimal_phi(counts, lam: int) -> float:
-    """The measure from its definition in 50-digit decimal arithmetic, at an integer lam."""
-    with decimal.localcontext(decimal.Context(prec=50)):
+def decimal_phi(counts, lam: float) -> float:
+    """The measure from its definition in 80-digit decimal arithmetic; the log form at lam = 0.
+
+    80 digits, not 50: at lam = 1e-9 and r = 1e-15 each exp(lam ln x) - 1 is about
+    lam r = 1e-24, and the two cells' terms cancel to lam r^2, so 50 keep only about 11.
+    """
+    with decimal.localcontext(decimal.Context(prec=80)):
         c = [[decimal.Decimal(int(x)) for x in row] for row in counts]
         off = [(c[i][j], c[j][i]) for i in range(len(c)) for j in range(len(c)) if i != j]
         delta = sum(x for x, _ in off)
-        num = sum(x * ((2 * x / (x + y)) ** lam - 1) for x, y in off if x > 0)
-        return float(num / (delta * (decimal.Decimal(2) ** lam - 1)))
+        if lam == 0:
+            num = sum(x * (2 * x / (x + y)).ln() for x, y in off if x > 0)
+            return float(num / (delta * decimal.Decimal(2).ln()))
+        lam = decimal.Decimal(lam)
+        num = sum(x * (((2 * x / (x + y)).ln() * lam).exp() - 1) for x, y in off if x > 0)
+        return float(num / (delta * ((decimal.Decimal(2).ln() * lam).exp() - 1)))
 
 
 def test_measure_keeps_its_digits_at_large_lambda(rng):
@@ -455,7 +467,9 @@ def test_measure_matches_kernel_cells(coffee):
     upper = upper_triangle(p.size)
     for lam in KERNEL_LAMBDAS:
         profile = asymmetry_measure(p, lam)
-        kernel = pair_departures(p.p[upper], p.p.T[upper], p.delta, lam)
+        kernel = pair_departures(
+            coffee.counts[upper], coffee.counts.T[upper], coffee.n - np.trace(coffee.counts), lam
+        )
         assert np.array_equal(profile.phi_cells[upper], kernel.cells[0])
         assert np.array_equal(profile.phi_cells.T[upper], kernel.cells[0])
         assert profile.phi_total == float(kernel.totals[0])
@@ -465,3 +479,36 @@ def test_measure_matches_kernel_cells(coffee):
                     assert asymmetry_measure(p, lam).phi_cells[i, j] == pytest.approx(
                         profile.phi_cells[i, j], rel=1e-15, abs=1e-18
                     )
+
+
+def test_single_pairs_against_decimal():
+    # r from 1e-15 to 1 on pairs of about 1e15 counts: the series and the definition
+    # each take some of these, the whole lams 1 and 3 the series for every r
+    s = 2 * 10**15
+    diffs = sorted({round(s * 10.0**e) for e in np.arange(-15.0, 0.01, 0.5)} | {s - 2, s})
+    lams = (-0.99, -0.5, -1e-3, 0.0, 1e-9, 1e-3, 2.0 / 3.0, 1.0, 3.0, 20.0, 100.0, 700.0)
+    for d in diffs:
+        a, b = (s + d) // 2, (s - d) // 2
+        totals = pair_departures(np.array([a], float), np.array([b], float), float(s), lams).totals
+        for lam, total in zip(lams, totals):
+            expected = decimal_phi([[0, a], [b, 0]], lam)
+            assert total == pytest.approx(expected, rel=1e-12, abs=0.0), (d, lam)
+
+
+def test_asymmetry_below_double_precision_of_the_pair_sums():
+    # r = 1 / 200000001, far below double precision of the pair sums
+    t = validate_table(["a", "b", "c"], [[0, 100000001, 5], [100000000, 0, 5], [5, 5, 0]])
+    profile = asymmetry_measure(to_probabilities(t), 1.0)
+    assert profile.phi_total == pytest.approx(2.4999997250000290e-17, rel=1e-12, abs=0.0)
+    assert profile.phi_total == pytest.approx(decimal_phi(t.counts, 1.0), rel=1e-12, abs=0.0)
+    statistic = power_divergence_statistic(t, 1.0)
+    assert statistic == pytest.approx(bowker_statistic(t).statistic, rel=1e-12, abs=0.0)
+
+
+def test_measure_near_minus_one_against_decimal(rng):
+    for _ in range(30):
+        size = int(rng.integers(2, 8))
+        counts = rng.integers(1, 40, size=(size, size))
+        p = to_probabilities(validate_table([f"c{k}" for k in range(size)], counts))
+        expected = decimal_phi(counts, -0.999999)
+        assert asymmetry_measure(p, -0.999999).phi_total == pytest.approx(expected, rel=1e-12, abs=0.0)
