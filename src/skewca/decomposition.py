@@ -1,10 +1,10 @@
 """Signed skew-symmetric decomposition and principal coordinates.
 
 The asymmetry measure admits an exact matrix square root: the signed
-skew-symmetric matrix whose (i, j) entry is sign(p_ij - p_ji) times the
-square root of the cell departure. Its squared Frobenius norm is the
-measure itself, and its SVD delivers category coordinates whose squared
-distances to the origin decompose the measure by category.
+skew-symmetric matrix whose (i, j) entry is sign(n_ij - n_ji), from the
+exact counts, times the square root of the cell departure. Its squared
+Frobenius norm is the measure itself, and its SVD delivers category
+coordinates whose squared distances to the origin split it by category.
 
 Singular values of a real skew-symmetric matrix come in equal pairs, and
 left/right singular vectors are linked by a block rotation: with J the
@@ -25,9 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from .divergence import AsymmetryProfile, asymmetry_measure
-from .divergence import departures, require_lambda, symmetric_cells
+from .divergence import departures, require_lambda
 from .errors import FullySymmetricError, InvalidParameterError
-from .table import ContingencyTable, ProbabilityTable, _frozen, upper_triangle
+from .table import ContingencyTable, ProbabilityTable, _frozen, pair_matrices, upper_triangle
 
 METRICS = ("averaged", "identity")
 
@@ -109,8 +109,14 @@ def skew_matrix(p: ProbabilityTable, lam: float) -> np.ndarray:
 
 
 def skew_from_profile(p: ProbabilityTable, profile: AsymmetryProfile) -> np.ndarray:
-    """Read-only sign(P - P^T) * sqrt(cells) of a computed profile; "+ 0.0" makes every zero +0.0."""
-    return _frozen(np.sign(p.p - p.p.T) * np.sqrt(profile.phi_cells) + 0.0)
+    """Read-only skew matrix of a computed profile, by ``skew_stack``."""
+    return _frozen(skew_stack(p, profile.phi_cells[upper_triangle(p.size)][None])[0])
+
+
+def skew_stack(t: ContingencyTable | ProbabilityTable, cells: np.ndarray) -> np.ndarray:
+    """(L, R, R) sign(n_ij - n_ji) sqrt(cells) from t's (L, P) pair cells; every zero is +0.0."""
+    upper = np.sign(t.pairs.diffs) * np.sqrt(cells) + 0.0
+    return pair_matrices(upper, 0.0 - upper, t.size)
 
 
 def _oriented(cols: np.ndarray) -> np.ndarray:
@@ -232,8 +238,6 @@ def scan_lambda(t: ContingencyTable, grid: Sequence[float] | None = None) -> Lam
     pts = default_lambda_grid() if grid is None else np.array([require_lambda(x) for x in grid])
     if pts.size == 0:
         raise InvalidParameterError("empty lambda grid")
-    upper = upper_triangle(t.size)
-    sign = np.sign(t.counts - t.counts.T)
     step = max(1, SCAN_CHUNK_CELLS // t.size**2)
     contribs = np.empty(pts.size)
     inertias = np.empty(pts.size)
@@ -244,8 +248,7 @@ def scan_lambda(t: ContingencyTable, grid: Sequence[float] | None = None) -> Lam
             raise FullySymmetricError(
                 "fully symmetric table: the contribution profile is undefined at every lam"
             )
-        skew = symmetric_cells(np.sqrt(result.cells, out=result.cells), upper)
-        skew *= sign
+        skew = skew_stack(t, result.cells)
         top = np.linalg.eigvalsh(-(skew @ skew))[:, -1]
         inertias[chunk] = result.totals
         contribs[chunk] = np.minimum(200.0 * top / result.totals, 100.0)

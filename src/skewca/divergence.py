@@ -27,7 +27,8 @@ from .errors import (
     DegenerateTableError,
     LambdaOutOfRangeError,
 )
-from .table import CategoryPairs, ContingencyTable, ProbabilityTable, _frozen, upper_triangle
+from .table import CategoryPairs, ContingencyTable, ProbabilityTable, _frozen
+from .table import pair_matrices, upper_triangle
 
 # lam values closer to 0 than this use the analytic lam -> 0 limit; the
 # generic formula is 0/0 at 0 and loses accuracy in a shrinking band around it.
@@ -108,15 +109,6 @@ class PairDepartures:
     divergence: np.ndarray = field(repr=False)
 
 
-def symmetric_cells(cells: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """(L, R, R) symmetric matrices from (L, P) pair departures gathered by ``upper``."""
-    stack = np.zeros((len(cells), *upper.shape))
-    mask = upper[None].repeat(len(cells), axis=0)  # a full-depth mask takes numpy's fast path
-    stack[mask] = cells.ravel()
-    stack.transpose(0, 2, 1)[mask] = cells.ravel()
-    return stack
-
-
 def _series(lams: np.ndarray, squares: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """``scale`` g(r) / lam from r^2 = ``squares`` by the series (1+lam)/2 r^2 (t_0 + ... + t_8):
     t_0 = 1, t_k/t_(k-1) = (lam-2k)(lam+1-2k) r^2 / ((2k+1)(2k+2)), which r < SERIES_MAX_R
@@ -166,7 +158,7 @@ def departures(pairs: CategoryPairs, lams) -> PairDepartures:
 
     Raises:
         DegenerateTableError: delta <= 0, all mass on the diagonal.
-        LambdaOutOfRangeError: the measure overflows double precision.
+        LambdaOutOfRangeError: the measure overflows, or underflows to 0 on asymmetric pairs.
         ConsistencyError: the definition disagrees with the measure.
     """
     lams = np.asarray(lams, dtype=float).reshape(-1)
@@ -192,6 +184,9 @@ def departures(pairs: CategoryPairs, lams) -> PairDepartures:
     if not finite.all():
         bad = float(lams[~finite][0])
         raise LambdaOutOfRangeError(f"measure overflows double precision at lam={bad}")
+    if pairs.diffs.any() and not totals.all():  # an asymmetric table measures above 0
+        bad = float(lams[totals == 0][0])
+        raise LambdaOutOfRangeError(f"measure underflows double precision at lam={bad}")
     gap = np.abs(totals - check)
     if gap.max() > 1e-12:
         worst = int(np.argmax(gap))
@@ -223,22 +218,21 @@ def asymmetry_measure(p: ProbabilityTable, lam: float) -> AsymmetryProfile:
     it against the definition to 1e-12.
 
     Raises:
-        LambdaOutOfRangeError: lam <= -1, or the measure overflows.
+        LambdaOutOfRangeError: lam <= -1, or the measure overflows or underflows.
         DegenerateTableError: every observation is on the diagonal.
     """
     lam = require_lambda(lam)
     result = departures(p.pairs, lam)
-    upper = upper_triangle(p.size)
     zero_pairs: tuple[tuple[int, int], ...] = ()
     empty = np.flatnonzero(p.pairs.sums == 0)
     if empty.size:
-        rows, cols = np.nonzero(upper)
+        rows, cols = np.nonzero(upper_triangle(p.size))
         zero_pairs = tuple(zip(rows[empty].tolist(), cols[empty].tolist()))
     return AsymmetryProfile(
         lam=lam,
         delta=p.delta,
         phi_total=float(result.totals[0]),
-        phi_cells=_frozen(symmetric_cells(result.cells, upper)[0]),
+        phi_cells=_frozen(pair_matrices(result.cells, result.cells, p.size)[0]),
         zero_pair_cells=zero_pairs,
     )
 

@@ -107,12 +107,8 @@ def build_matched(
         value = int(t1.counts[i, j]) + int(t2.counts[i, j])
         raise CountOverflowError(f"pooled count {value} at cell ({i}, {j}) does not fit in int64")
     pooled = to_probabilities(validate_table(t1.labels, counts))
-    p1 = to_probabilities(t1)
-    p2 = to_probabilities(t2)
-    s1 = skew_matrix(p1, lam)
-    s2 = skew_matrix(p2, lam)
-    s_plus = _frozen(s1 + s2)
-    s_minus = _frozen(s1 - s2)
+    s1, s2 = (skew_matrix(to_probabilities(t), lam) for t in (t1, t2))
+    s_plus, s_minus = _frozen(s1 + s2), _frozen(s1 - s2)
     plus, minus = paired_svd(s_plus), paired_svd(s_minus)
     size, n_dims = t1.size, plus.n_dims
     # odd sizes give each component one more zero value, its null dimension

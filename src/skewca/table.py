@@ -73,6 +73,15 @@ def upper_triangle(size: int) -> np.ndarray:
     return _frozen(index[:, None] < index)
 
 
+def pair_matrices(upper: np.ndarray, lower: np.ndarray, size: int) -> np.ndarray:
+    """(L, R, R) matrices with upper[:, k] at pair k's cell (i, j) and lower[:, k] at (j, i)."""
+    stack = np.zeros((len(upper), size, size))
+    mask = upper_triangle(size)[None].repeat(len(upper), axis=0)  # numpy's fast path
+    stack[mask] = upper.ravel()
+    stack.transpose(0, 2, 1)[mask] = lower.ravel()
+    return stack
+
+
 @dataclass(frozen=True)
 class ContingencyTable:
     """Square table of non-negative integer counts with ordered category labels.
@@ -105,7 +114,7 @@ class ProbabilityTable:
 
     ``delta`` is the total off-diagonal mass, the normalizer of the asymmetry measure; a
     table with delta == 0 carries no information about symmetry and is rejected downstream.
-    ``pairs`` is the counts' ``CategoryPairs``, which the measure reads.
+    ``pairs`` is the counts' ``CategoryPairs``, which the measure and the skew matrix read.
     """
 
     labels: tuple[str, ...]

@@ -23,6 +23,22 @@ from skewca.tableio import load_table
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
+# a pair of 2^53 + 1 against 2^53: distinct in int64, one double once divided by n
+COUNTS_PAST_DOUBLE_PRECISION = [[0, 2**53 + 1, 5], [2**53, 0, 5], [5, 5, 0]]
+# an asymmetric table whose measure underflows to 0 at lam = 1000 but not at lam = 700
+COUNTS_UNDERFLOWING = [[0, 10**15 + 1, 5], [10**15, 0, 5], [5, 5, 0]]
+
+
+def abc_table(counts):
+    return validate_table(["a", "b", "c"], counts)
+
+
+def abc_csv(path: Path, counts) -> Path:
+    """Write a 3x3 table over the labels a, b, c as CSV and return its path."""
+    rows = "".join(f"{label},{','.join(map(str, row))}\n" for label, row in zip("abc", counts))
+    path.write_text(",a,b,c\n" + rows, encoding="utf-8")
+    return path
+
 # ---------------------------------------------------------------- fixtures
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import skewca
-from conftest import DATA
+from conftest import COUNTS_UNDERFLOWING, DATA, abc_csv
 from skewca import cli
 from skewca.cli import main
 from skewca.decomposition import default_lambda_grid
@@ -516,3 +516,13 @@ def test_exit_code_2_for_json_labels_not_a_list(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert '"labels"' in err
+
+
+def test_exit_code_2_where_the_measure_underflows(capsys, tmp_path):
+    table = str(abc_csv(tmp_path / "t.csv", COUNTS_UNDERFLOWING))
+    message = "error: measure underflows double precision at lam=1000.0\n"
+    assert run_cli(capsys, "analyze", table, "--lambda", "1000") == (2, "", message)
+    assert run_cli(capsys, "scan", table, "--grid=1000:1000:1") == (2, "", message)
+    code, out, err = run_cli(capsys, "analyze", table, "--lambda", "700")
+    assert code == 0, err
+    assert json.loads(out)["asymmetry"]["phi_total"] > 0.0

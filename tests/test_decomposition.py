@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    COUNTS_PAST_DOUBLE_PRECISION,
+    COUNTS_UNDERFLOWING,
+    abc_table,
     oracle_block_rotation,
     oracle_origin_distances,
     oracle_phi_total,
@@ -551,3 +554,26 @@ def test_scan_errors_on_degenerate_and_overflowing_input(coffee):
         scan_lambda(coffee, grid=[1.0, 2000.0])
     with pytest.raises(LambdaOutOfRangeError):
         scan_lambda(coffee, grid=[1.0, float("nan")])
+
+
+def test_skew_signs_come_from_the_exact_counts(coffee):
+    # at 2^53 the pair's probabilities round to one double, its counts do not
+    for t in (coffee, abc_table(COUNTS_PAST_DOUBLE_PRECISION)):
+        p = to_probabilities(t)
+        sign = np.sign(t.counts - t.counts.T)
+        for lam in (-0.5, 0.0, 1.0, 3.0):
+            expected = sign * np.sqrt(asymmetry_measure(p, lam).phi_cells)
+            assert np.array_equal(skew_matrix(p, lam), expected)
+
+
+def test_measure_and_scan_raise_where_the_measure_underflows():
+    t = abc_table(COUNTS_UNDERFLOWING)
+    p = to_probabilities(t)
+    with pytest.raises(LambdaOutOfRangeError, match="underflows double precision at lam=1000.0"):
+        asymmetry_measure(p, 1000.0)
+    with pytest.raises(LambdaOutOfRangeError, match="underflows double precision at lam=1000.0"):
+        scan_lambda(t, grid=[700.0, 1000.0])
+    assert asymmetry_measure(p, 700.0).phi_total > 0.0
+    assert scan_lambda(t, grid=[700.0]).inertias[0] > 0.0
+    # a fully symmetric table still measures exactly 0 there
+    assert asymmetry_measure(to_probabilities(table22(3, 3)), 1000.0).phi_total == 0.0

@@ -443,6 +443,36 @@ def decimal_phi(counts, lam: float) -> float:
         return float(num / (delta * ((decimal.Decimal(2).ln() * lam).exp() - 1)))
 
 
+def decimal_statistic(counts, lam: float) -> float:
+    """2/(lam(lam+1)) sum over cells off the diagonal of n_ij [(2 n_ij/(n_ij + n_ji))^lam - 1]
+    in 80-digit decimal arithmetic; 2 sum n_ij ln(2 n_ij/(n_ij + n_ji)) at lam = 0. An empty
+    cell adds 0, its limit for every lam > -1."""
+    with decimal.localcontext(decimal.Context(prec=80)):
+        c = [[decimal.Decimal(int(x)) for x in row] for row in counts]
+        size = len(c)
+        logs = [
+            (c[i][j], (2 * c[i][j] / (c[i][j] + c[j][i])).ln())
+            for i in range(size)
+            for j in range(size)
+            if i != j and c[i][j] > 0
+        ]
+        if lam == 0:
+            return float(2 * sum(x * log for x, log in logs))
+        lam = decimal.Decimal(lam)
+        total = sum(x * ((log * lam).exp() - 1) for x, log in logs)
+        return float(2 / (lam * (lam + 1)) * total)
+
+
+def test_statistic_against_decimal_definition(coffee, rng):
+    tables = [coffee.counts, [[0, 100000001, 5], [100000000, 0, 5], [5, 5, 0]]]
+    tables += [random_table(rng, int(rng.integers(2, 9))).counts for _ in range(20)]
+    for counts in tables:
+        t = validate_table([f"c{k}" for k in range(len(counts))], counts)
+        for lam in (-0.5, 0.0, 2.0 / 3.0, 1.7, 3.0):
+            expected = decimal_statistic(counts, lam)
+            assert power_divergence_statistic(t, lam) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_measure_keeps_its_digits_at_large_lambda(rng):
     # past lam ~ 60 the per-cell route cancels to 0; the kernel falls back per lam
     tables = [[[50, 30, 10], [20, 40, 25], [12, 18, 60]]]

@@ -5,11 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_reconstruct, planted_skew, random_table
+from conftest import (
+    COUNTS_PAST_DOUBLE_PRECISION,
+    abc_table,
+    oracle_reconstruct,
+    planted_skew,
+    random_table,
+)
 from skewca import matched
 from skewca.errors import CountOverflowError, DimensionMismatchError, LabelMismatchError
 from skewca.matched import build_matched, matched_coordinates
-from skewca.table import validate_table
+from skewca.divergence import asymmetry_measure
+from skewca.table import to_probabilities, validate_table
 
 # published block SVD of the opinion pair: paired singular values and the
 # duplicated/sign-flipped block pattern, reproduced at the Pearson parameter
@@ -307,3 +314,11 @@ def test_pooled_count_overflow_names_the_cell():
         build_matched(t1, t1, 1.0)
     with pytest.raises(CountOverflowError, match=r"at cell \(2, 1\)"):
         build_matched(t2, t2, 1.0)
+
+
+def test_matched_skew_signs_come_from_the_exact_counts():
+    t = abc_table(COUNTS_PAST_DOUBLE_PRECISION)
+    m = build_matched(t, abc_table([[1, 2, 3], [4, 5, 6], [7, 8, 9]]), 1.0)
+    cells = asymmetry_measure(to_probabilities(t), 1.0).phi_cells
+    expected = np.sign(t.counts - t.counts.T) * np.sqrt(cells)
+    assert np.array_equal(m.skew_first, expected)

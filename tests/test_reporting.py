@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import COUNTS_PAST_DOUBLE_PRECISION, abc_table
 from skewca import decomposition, divergence, reporting
 from skewca.decomposition import METRICS
 from skewca.errors import (
@@ -427,3 +428,16 @@ def test_to_json_leaves_no_reference_cycle(rng):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_analyze_reads_the_sign_of_pairs_past_double_precision():
+    t = abc_table(COUNTS_PAST_DOUBLE_PRECISION)
+    report = run_analyze(AnalysisConfig(lam=1.0), t)
+    values = np.array(report.decomposition["singular_values"])
+    phi = report.asymmetry["phi_total"]
+    assert values[0] > 0.0
+    assert float(np.sum(values**2)) == pytest.approx(phi, rel=1e-12, abs=0.0)
+    leading = sum(report.decomposition["contributions"][:2])
+    scanned = decomposition.scan_lambda(t, [1.0]).contributions[0]
+    assert leading == pytest.approx(scanned, rel=1e-12, abs=0.0)
+    assert not any("confidence regions skipped" in w for w in report.warnings)
