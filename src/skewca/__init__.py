@@ -9,7 +9,7 @@ from .decomposition import decompose, origin_distances, scan_lambda, skew_from_p
 from .divergence import asymmetry_measure
 from .matched import build_matched, matched_coordinates
 from .reporting import AnalysisConfig, run_analyze, run_matched, run_scan
-from .table import to_probabilities, validate_table
+from .table import validate_table
 
 __version__ = "0.1.0"
 
@@ -27,6 +27,5 @@ __all__ = [
     "scan_lambda",
     "skew_from_profile",
     "skew_matrix",
-    "to_probabilities",
     "validate_table",
 ]

@@ -27,7 +27,7 @@ import numpy as np
 from .divergence import AsymmetryProfile, asymmetry_measure
 from .divergence import departures, require_lambda
 from .errors import FullySymmetricError, InvalidParameterError
-from .table import ContingencyTable, ProbabilityTable, _frozen, pair_matrices, upper_triangle
+from .table import ContingencyTable, _frozen, pair_matrices, upper_triangle
 
 METRICS = ("averaged", "identity")
 
@@ -103,17 +103,17 @@ class LambdaScanResult:
     inertias: tuple[float, ...]
 
 
-def skew_matrix(p: ProbabilityTable, lam: float) -> np.ndarray:
+def skew_matrix(t: ContingencyTable, lam: float) -> np.ndarray:
     """Signed element-wise square root of the cell departures at lam, read-only."""
-    return skew_from_profile(p, asymmetry_measure(p, lam))
+    return skew_from_profile(t, asymmetry_measure(t, lam))
 
 
-def skew_from_profile(p: ProbabilityTable, profile: AsymmetryProfile) -> np.ndarray:
+def skew_from_profile(t: ContingencyTable, profile: AsymmetryProfile) -> np.ndarray:
     """Read-only skew matrix of a computed profile, by ``skew_stack``."""
-    return _frozen(skew_stack(p, profile.phi_cells[upper_triangle(p.size)][None])[0])
+    return _frozen(skew_stack(t, profile.phi_cells[upper_triangle(t.size)][None])[0])
 
 
-def skew_stack(t: ContingencyTable | ProbabilityTable, cells: np.ndarray) -> np.ndarray:
+def skew_stack(t: ContingencyTable, cells: np.ndarray) -> np.ndarray:
     """(L, R, R) sign(n_ij - n_ji) sqrt(cells) from t's (L, P) pair cells; every zero is +0.0."""
     upper = np.sign(t.pairs.diffs) * np.sqrt(cells) + 0.0
     return pair_matrices(upper, 0.0 - upper, t.size)
@@ -160,7 +160,7 @@ def paired_svd(skew: np.ndarray) -> PairedSVD:
     return PairedSVD(left_vectors=_frozen(left), singular_values=_frozen(np.repeat(mus, 2)))
 
 
-def metric_weights(p: ProbabilityTable, metric: str) -> np.ndarray:
+def metric_weights(t: ContingencyTable, metric: str) -> np.ndarray:
     """Per-category weights d_i of the chosen metric.
 
     The averaged metric gives rows and columns the common scale
@@ -172,8 +172,9 @@ def metric_weights(p: ProbabilityTable, metric: str) -> np.ndarray:
     if metric not in METRICS:
         raise InvalidParameterError(f"metric must be one of {METRICS}, got {metric!r}")
     if metric == "identity":
-        return np.ones(p.size)
-    margins = (p.row_margins + p.col_margins) / 2.0
+        return np.ones(t.size)
+    p = t.p
+    margins = (p.sum(axis=1) + p.sum(axis=0)) / 2.0
     return np.where(margins > 0.0, margins, 1.0) ** -0.5
 
 
@@ -182,7 +183,7 @@ def _shares(values: np.ndarray, inertia: float) -> np.ndarray:
     return 100.0 * values**2 / inertia if inertia > 0.0 else np.zeros(len(values))
 
 
-def decompose(s: np.ndarray, p: ProbabilityTable, metric: str = "averaged") -> SymmetryDecomposition:
+def decompose(s: np.ndarray, t: ContingencyTable, metric: str = "averaged") -> SymmetryDecomposition:
     """Principal coordinates, inertia, and contributions of a skew matrix.
 
     A fully symmetric table (zero matrix) is a legitimate outcome: it
@@ -190,20 +191,20 @@ def decompose(s: np.ndarray, p: ProbabilityTable, metric: str = "averaged") -> S
     ``fully_symmetric`` flag instead of raising.
     """
     svd = paired_svd(s)
-    weights = metric_weights(p, metric)
+    weights = metric_weights(t, metric)
     row = weights[:, None] * svd.left_vectors * svd.singular_values[None, :]
     inertia = float(np.sum(svd.singular_values**2))
     return SymmetryDecomposition(
         left_vectors=svd.left_vectors,
         singular_values=svd.singular_values,
-        labels=p.labels,
+        labels=t.labels,
         metric=metric,
         metric_weights=_frozen(weights),
         row_coords=_frozen(row),
         col_coords=_frozen(_quarter_turn(row)),
         total_inertia=inertia,
         contributions=_frozen(_shares(svd.singular_values, inertia)),
-        fully_symmetric=not p.pairs.diffs.any(),
+        fully_symmetric=not t.pairs.diffs.any(),
     )
 
 

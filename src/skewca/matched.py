@@ -21,7 +21,7 @@ import numpy as np
 from .decomposition import PairedSVD, _quarter_turn, _structural_zeros, metric_weights, paired_svd, skew_matrix
 from .divergence import require_lambda
 from .errors import CountOverflowError, DimensionMismatchError, LabelMismatchError
-from .table import ContingencyTable, ProbabilityTable, _frozen, to_probabilities, validate_table
+from .table import ContingencyTable, _frozen, validate_table
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class MatchedAnalysis:
     svd_plus: PairedSVD = field(repr=False)
     svd_minus: PairedSVD = field(repr=False)
     dim_classes: tuple[DimensionClass, ...]
-    pooled: ProbabilityTable = field(repr=False)
+    pooled: ContingencyTable = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -106,8 +106,8 @@ def build_matched(
         i, j = np.argwhere(wrapped)[0]
         value = int(t1.counts[i, j]) + int(t2.counts[i, j])
         raise CountOverflowError(f"pooled count {value} at cell ({i}, {j}) does not fit in int64")
-    pooled = to_probabilities(validate_table(t1.labels, counts))
-    s1, s2 = (skew_matrix(to_probabilities(t), lam) for t in (t1, t2))
+    pooled = validate_table(t1.labels, counts)
+    s1, s2 = (skew_matrix(t, lam) for t in (t1, t2))
     s_plus, s_minus = _frozen(s1 + s2), _frozen(s1 - s2)
     plus, minus = paired_svd(s_plus), paired_svd(s_minus)
     size, n_dims = t1.size, plus.n_dims

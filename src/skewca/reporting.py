@@ -29,7 +29,7 @@ from .errors import DimensionOutOfRangeError, InputError, InvalidAlphaError, Inv
 from .errors import FullySymmetricError, IdentityMetricUnsupportedError, UnsupportedDimensionError
 from .matched import build_matched, matched_coordinates
 from .svg import render_svg_plot
-from .table import ContingencyTable, to_probabilities
+from .table import ContingencyTable
 
 SCHEMA_VERSION = 1
 
@@ -390,9 +390,8 @@ def run_analyze(config: AnalysisConfig, table: ContingencyTable) -> AnalysisRepo
     """
     warnings: list[str] = []
     bowker = _bowker_dict(table)
-    p = to_probabilities(table)
-    profile = asymmetry_measure(p, config.lam)
-    dec = decompose(skew_from_profile(p, profile), p, config.metric)
+    profile = asymmetry_measure(table, config.lam)
+    dec = decompose(skew_from_profile(table, profile), table, config.metric)
     row_dist, col_dist = origin_distances(dec)
 
     for i, j in profile.zero_pair_cells:

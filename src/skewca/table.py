@@ -1,4 +1,4 @@
-"""Validated square contingency tables and their empirical probability form."""
+"""Validated square contingency tables of counts with their exact category pairs."""
 
 from __future__ import annotations
 
@@ -73,6 +73,13 @@ def upper_triangle(size: int) -> np.ndarray:
     return _frozen(index[:, None] < index)
 
 
+@lru_cache
+def pair_index(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (rows, cols) of the category pairs (i, j), i < j, in row-major pair order."""
+    rows, cols = np.nonzero(upper_triangle(size))
+    return _frozen(rows), _frozen(cols)
+
+
 def pair_matrices(upper: np.ndarray, lower: np.ndarray, size: int) -> np.ndarray:
     """(L, R, R) matrices with upper[:, k] at pair k's cell (i, j) and lower[:, k] at (j, i)."""
     stack = np.zeros((len(upper), size, size))
@@ -99,34 +106,23 @@ class ContingencyTable:
     def size(self) -> int:
         return len(self.labels)
 
+    @property
+    def p(self) -> np.ndarray:
+        """Read-only cell probabilities n_ij / n, computed on each access."""
+        return _frozen(self.counts / float(self.n))
+
+    @property
+    def delta(self) -> float:
+        """Off-diagonal mass, the normalizer of the asymmetry measure; 0 leaves it undefined."""
+        return self.pairs.off_diagonal / self.n
+
     def scaled(self, k: int) -> "ContingencyTable":
         """Return a copy with every count multiplied by the positive integer k."""
-        if k < 1:
-            raise InvalidParameterError("scale factor must be a positive integer")
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+            raise InvalidParameterError(f"scale factor must be a positive integer, got {k!r}")
         if self.n * int(k) > INT64_MAX:
             raise CountOverflowError(f"total count {self.n} * {k} does not fit in int64")
         return validate_table(self.labels, self.counts * int(k))
-
-
-@dataclass(frozen=True)
-class ProbabilityTable:
-    """Empirical cell probabilities p_ij = n_ij / n with margins.
-
-    ``delta`` is the total off-diagonal mass, the normalizer of the asymmetry measure; a
-    table with delta == 0 carries no information about symmetry and is rejected downstream.
-    ``pairs`` is the counts' ``CategoryPairs``, which the measure and the skew matrix read.
-    """
-
-    labels: tuple[str, ...]
-    p: np.ndarray = field(repr=False)
-    row_margins: np.ndarray = field(repr=False)
-    col_margins: np.ndarray = field(repr=False)
-    delta: float
-    pairs: CategoryPairs = field(repr=False)
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
 
 
 def validate_table(labels: Sequence[str], counts) -> ContingencyTable:
@@ -175,14 +171,7 @@ def validate_table(labels: Sequence[str], counts) -> ContingencyTable:
     return ContingencyTable(labels=labels, counts=_frozen(arr), n=total, pairs=pairs)
 
 
-def to_probabilities(t: ContingencyTable) -> ProbabilityTable:
-    """Convert counts to cell probabilities, margins, and off-diagonal mass."""
-    p = t.counts / float(t.n)
-    return ProbabilityTable(
-        labels=t.labels,
-        p=_frozen(p),
-        row_margins=_frozen(p.sum(axis=1)),
-        col_margins=_frozen(p.sum(axis=0)),
-        delta=t.pairs.off_diagonal / t.n,
-        pairs=t.pairs,
-    )
+def to_probabilities(t: ContingencyTable) -> ContingencyTable:
+    """Return ``t``, which carries its probabilities ``p`` and off-diagonal mass ``delta``;
+    kept so that code that converts a table before the analysis still runs."""
+    return t

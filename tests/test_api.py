@@ -33,3 +33,13 @@ def test_namespace_is_the_documented_names():
         assert f"`{name}(" in readme, name
     assert sorted(skewca.__all__) == sorted(documented)
     assert all(hasattr(skewca, name) for name in skewca.__all__)
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1]
+    source = re.search(r"```python\n(.*?)```", block, flags=re.S).group(1)
+    scope: dict = {}
+    exec(compile(source, "README.md", "exec"), scope)
+    assert scope["profile"].phi_total > 0
+    assert len(scope["regions"]) == 2 * scope["table"].size

@@ -13,6 +13,7 @@ from skewca.errors import (
     NonIntegerCountError,
     NonSquareError,
 )
+from skewca.decomposition import metric_weights
 from skewca.table import INT64_MAX, to_probabilities, validate_table
 
 
@@ -113,8 +114,11 @@ def tables(draw, min_size=2, max_size=6, high=40):
 def test_probabilities_sum_to_one(t):
     p = to_probabilities(t)
     assert abs(p.p.sum() - 1.0) <= 1e-12
-    assert np.all(np.abs(p.row_margins - p.p.sum(axis=1)) <= 1e-12)
-    assert np.all(np.abs(p.col_margins - p.p.sum(axis=0)) <= 1e-12)
+    margins = (p.p.sum(axis=1) + p.p.sum(axis=0)) / 2
+    weights = metric_weights(t, "averaged")
+    seen = margins > 0
+    assert np.array_equal(weights[seen], margins[seen] ** -0.5)
+    assert np.all(weights[~seen] == 1.0)
     assert 0.0 <= p.delta <= 1.0
 
 
@@ -174,6 +178,6 @@ def test_scaled_total_beyond_int64_is_rejected():
 
 def test_scaled_rejects_factor_below_one():
     t = validate_table(["a", "b"], [[0, 2], [1, 0]])
-    for k in (0, -3):
+    for k in (0, -3, 1.9, 2.5, True):
         with pytest.raises(InvalidParameterError):
             t.scaled(k)
