@@ -81,11 +81,6 @@ def _tails(dof: int, x: float) -> tuple[float, float]:
     return max(1.0 - tail, 0.0), tail
 
 
-def chi_square_cdf(dof: int, x: float) -> float:
-    """CDF of the chi-square distribution with ``dof`` degrees of freedom."""
-    return _tails(dof, x)[0]
-
-
 def chi_square_sf(dof: int, x: float) -> float:
     """Upper tail 1 - CDF; from x = dof + 2 on it keeps its relative accuracy far
     below 1e-16, where 1 - CDF reads 0."""

@@ -211,7 +211,7 @@ def asymmetry_measure(t: ContingencyTable, lam: float) -> AsymmetryProfile:
     """The [0,1] asymmetry measure with its per-cell decomposition.
 
     ``departures`` evaluates it on the table's count pairs and checks
-    it against the definition to 1e-12.
+    it against the definition to 1e-12; Phi is recorded on the pairs.
 
     Raises:
         LambdaOutOfRangeError: lam <= -1, or the measure overflows or underflows.
@@ -219,6 +219,7 @@ def asymmetry_measure(t: ContingencyTable, lam: float) -> AsymmetryProfile:
     """
     lam = require_lambda(lam)
     result = departures(t.pairs, lam)
+    t.pairs.measured[lam] = phi = float(result.totals[0])
     zero_pairs: tuple[tuple[int, int], ...] = ()
     empty = np.flatnonzero(t.pairs.sums == 0)
     if empty.size:
@@ -227,7 +228,7 @@ def asymmetry_measure(t: ContingencyTable, lam: float) -> AsymmetryProfile:
     return AsymmetryProfile(
         lam=lam,
         delta=t.delta,
-        phi_total=float(result.totals[0]),
+        phi_total=phi,
         phi_cells=_frozen(pair_matrices(result.cells, result.cells, t.size)[0]),
         zero_pair_cells=zero_pairs,
     )
@@ -238,10 +239,13 @@ def power_divergence_statistic(t: ContingencyTable, lam: float) -> float:
 
     2n/(lam (lam+1)) * sum p_ij [(2 p_ij/(p_ij+p_ji))^lam - 1] at the plug-in
     probabilities, which equals 2 n delta Phi / c, c the power-divergence scale, so
-    it is read from the measure. At lam = 1 this is the symmetry chi-square statistic.
+    it is read from the measure: the Phi its table already computed at this lam, or a
+    new kernel call. At lam = 1 this is the symmetry chi-square statistic.
     """
     lam = require_lambda(lam)
-    phi = float(departures(t.pairs, lam).totals[0])
+    phi = t.pairs.measured.get(lam)
+    if phi is None:
+        t.pairs.measured[lam] = phi = float(departures(t.pairs, lam).totals[0])
     stat = 2.0 * t.pairs.off_diagonal * phi / power_divergence_scale(lam)
     if not math.isfinite(stat):
         raise LambdaOutOfRangeError(f"statistic overflows double precision at lam={lam}")

@@ -51,11 +51,13 @@ def _count_array(counts) -> np.ndarray:
 class CategoryPairs:
     """The category pairs (i, j), i < j, of a table in row-major order: ``sums[k]`` and
     ``diffs[k]`` are n_ij + n_ji and n_ij - n_ji, exact in int64; ``off_diagonal`` is the
-    total."""
+    total. ``measured`` maps each lam at which the measure was computed to its Phi, floats
+    only, so that the statistic reads it instead of running the kernel again."""
 
     sums: np.ndarray = field(repr=False)
     diffs: np.ndarray = field(repr=False)
     off_diagonal: float
+    measured: dict[float, float] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
     def ratios(self) -> tuple[np.ndarray, np.ndarray]:

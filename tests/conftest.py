@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from skewca import chisquare
 from skewca.reporting import AnalysisReport
 from skewca.table import validate_table
 from skewca.tableio import load_table
@@ -118,6 +119,12 @@ def oracle_phi_divergence_form(p: np.ndarray, lam: float) -> float:
     if abs(lam) < 1e-10:
         return total / math.log(2.0)
     return total / (2.0**lam - 1.0)
+
+
+def chi_square_cdf(dof: int, x: float) -> float:
+    """Chi-square CDF, the lower tail of the package's one tail split; the round-trip
+    oracle of the quantile, which nothing in the package itself calls."""
+    return chisquare._tails(dof, x)[0]
 
 
 def oracle_skew(p: np.ndarray, lam: float) -> np.ndarray:

@@ -14,6 +14,7 @@ import pytest
 from scipy import integrate
 
 from conftest import (
+    chi_square_cdf,
     one_sided,
     oracle_block_rotation,
     oracle_bowker,
@@ -30,7 +31,7 @@ from conftest import (
     symmetrized,
 )
 from skewca.cli import main
-from skewca.chisquare import chi_square_cdf, chi_square_quantile
+from skewca.chisquare import chi_square_quantile
 from skewca.confidence import confidence_regions
 from skewca.decomposition import decompose, origin_distances, skew_matrix
 from skewca.divergence import (

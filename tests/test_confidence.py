@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from conftest import random_table
+from conftest import chi_square_cdf, random_table
 from skewca import chisquare
-from skewca.chisquare import chi_square_cdf, chi_square_quantile, chi_square_sf
+from skewca.chisquare import chi_square_quantile, chi_square_sf
 from skewca.confidence import confidence_regions
 from skewca.decomposition import decompose, skew_matrix
 from skewca.divergence import (

@@ -16,8 +16,10 @@ from conftest import (
     random_table,
     symmetrized,
 )
+from skewca import divergence
 from skewca.divergence import (
     LAMBDA_ZERO_TOL,
+    NAMED_DIVERGENCES,
     asymmetry_measure,
     bowker_statistic,
     pair_departures,
@@ -278,6 +280,51 @@ def test_extreme_lambda_overflow_is_a_clean_error():
     big = 10**15
     cyclic = validate_table(["a", "b", "c"], [[0, big, 0], [0, 0, big], [big, 0, 0]])
     assert asymmetry_measure(to_probabilities(cyclic), 1000.0).phi_total == 1.0
+    with pytest.raises(LambdaOutOfRangeError, match="statistic overflows"):
+        power_divergence_statistic(cyclic, 1000.0)
+
+
+def test_statistic_reuses_the_measure_of_its_table(coffee, rng, monkeypatch):
+    calls = []
+    kernel = divergence.departures
+    monkeypatch.setattr(divergence, "departures", lambda *args: calls.append(args) or kernel(*args))
+    lams = tuple(NAMED_DIVERGENCES.values())
+    for source in (coffee, random_table(rng, 7)):
+        t = validate_table(source.labels, source.counts)  # the session's coffee stays unmeasured
+        calls.clear()
+        for lam in lams:
+            asymmetry_measure(t, lam)
+        stats = [power_divergence_statistic(t, lam) for lam in lams]
+        assert len(calls) == 4
+        power_divergence_statistic(t, 3.0)
+        power_divergence_statistic(t, 3.0)
+        assert len(calls) == 5
+        for lam, stat in zip(lams, stats):
+            assert stat == power_divergence_statistic(validate_table(t.labels, t.counts), lam)
+
+
+def test_measure_record_holds_floats_per_table(coffee):
+    t = validate_table(coffee.labels, coffee.counts)
+    profiles = [asymmetry_measure(t, lam) for lam in (-0.5, -0.0, 0.0, 2.0 / 3.0, np.float64(1))]
+    record = t.pairs.measured
+    assert list(record) == [-0.5, 0.0, 2.0 / 3.0, 1.0]
+    assert math.copysign(1.0, list(record)[1]) == 1.0  # -0.0 is recorded as +0.0
+    assert all(type(lam) is float and type(phi) is float for lam, phi in record.items())
+    assert list(record.values()) == [profiles[k].phi_total for k in (0, 2, 3, 4)]
+    assert t.scaled(2).pairs.measured == {}
+    # a lam whose kernel raised records nothing, and the statistic raises the same error
+    with pytest.raises(LambdaOutOfRangeError) as measure_error:
+        asymmetry_measure(t, 5000.0)
+    assert 5000.0 not in record
+    with pytest.raises(LambdaOutOfRangeError) as statistic_error:
+        power_divergence_statistic(t, 5000.0)
+    assert str(statistic_error.value) == str(measure_error.value)
+    assert 5000.0 not in record
+    # a recorded Phi still meets the statistic's own overflow check
+    big = 10**15
+    cyclic = validate_table(["a", "b", "c"], [[0, big, 0], [0, 0, big], [big, 0, 0]])
+    assert asymmetry_measure(cyclic, 1000.0).phi_total == 1.0
+    assert cyclic.pairs.measured == {1000.0: 1.0}
     with pytest.raises(LambdaOutOfRangeError, match="statistic overflows"):
         power_divergence_statistic(cyclic, 1000.0)
 
