@@ -7,7 +7,7 @@ scripts use; everything else is imported from its submodule.
 from .confidence import confidence_regions
 from .decomposition import decompose, origin_distances, scan_lambda, skew_from_profile, skew_matrix
 from .divergence import asymmetry_measure
-from .matched import build_matched, matched_coordinates
+from .matched import build_matched
 from .reporting import AnalysisConfig, run_analyze, run_matched, run_scan
 from .table import validate_table
 
@@ -19,7 +19,6 @@ __all__ = [
     "build_matched",
     "confidence_regions",
     "decompose",
-    "matched_coordinates",
     "origin_distances",
     "run_analyze",
     "run_matched",

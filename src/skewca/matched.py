@@ -35,8 +35,15 @@ class DimensionClass:
 
 @dataclass(frozen=True)
 class MatchedAnalysis:
+    """Component SVDs, their merged block dimensions, and first-block coordinates.
+
+    Each coordinate matrix is R x R, one column per component dimension by
+    descending value; for odd R the last is the zero null one.
+    """
+
     labels: tuple[str, ...]
     lam: float
+    metric: str
     skew_first: np.ndarray = field(repr=False)
     skew_second: np.ndarray = field(repr=False)
     s_plus: np.ndarray = field(repr=False)
@@ -44,7 +51,10 @@ class MatchedAnalysis:
     svd_plus: PairedSVD = field(repr=False)
     svd_minus: PairedSVD = field(repr=False)
     dim_classes: tuple[DimensionClass, ...]
-    pooled: ContingencyTable = field(repr=False)
+    sum_rows: np.ndarray = field(repr=False)
+    sum_cols: np.ndarray = field(repr=False)
+    difference_rows: np.ndarray = field(repr=False)
+    difference_cols: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -62,28 +72,18 @@ class MatchedAnalysis:
         return paired_svd(self.block)
 
 
-@dataclass(frozen=True)
-class MatchedCoordinates:
-    """First-block principal coordinates split by component.
-
-    Rows come from left singular vectors, columns from right ones. Each
-    matrix is R x R, one column per block dimension of the component by
-    descending singular value; for odd R the last is its zero null one.
-    """
-
-    metric: str
-    sum_rows: np.ndarray = field(repr=False)
-    sum_cols: np.ndarray = field(repr=False)
-    sum_singular_values: np.ndarray = field(repr=False)
-    difference_rows: np.ndarray = field(repr=False)
-    difference_cols: np.ndarray = field(repr=False)
-    difference_singular_values: np.ndarray = field(repr=False)
+def _first_block(svd: PairedSVD, weights: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column coordinates of one component on the first block of categories."""
+    rows = weights * (svd.left_vectors / math.sqrt(2.0) * svd.singular_values)
+    # odd R keeps the component's null dimension as a zero column
+    padding = ((0, 0), (0, size - svd.n_dims))
+    return _frozen(np.pad(rows, padding)), _frozen(np.pad(_quarter_turn(rows), padding))
 
 
 def build_matched(
-    t1: ContingencyTable, t2: ContingencyTable, lam: float
+    t1: ContingencyTable, t2: ContingencyTable, lam: float, metric: str = "identity"
 ) -> MatchedAnalysis:
-    """Skew matrices, sum/difference SVDs, and the classified block dimensions.
+    """Skew matrices, sum/difference SVDs, the classified block dimensions, and coordinates.
 
     Both tables must share the same labels in the same order and both must
     carry off-diagonal mass. The two skew matrices use the same lam. The
@@ -91,6 +91,11 @@ def build_matched(
     descending order, and ``dim_classes`` attributes each to its component;
     the block matrix itself is never built here. As in the block's SVD, values
     at most ZERO_SINGULAR_RTOL of the largest are zeros, in the components too.
+
+    Under the identity metric (the default here) the coordinates are the block
+    singular vectors times their values on the first block of categories: the
+    component vectors over sqrt(2). The averaged metric weights rows by the
+    pooled margins of the two tables' sum; an unknown one raises before any SVD.
     """
     if t1.size != t2.size:
         raise DimensionMismatchError(f"table sizes differ: {t1.size} vs {t2.size}")
@@ -106,7 +111,7 @@ def build_matched(
         i, j = np.argwhere(wrapped)[0]
         value = int(t1.counts[i, j]) + int(t2.counts[i, j])
         raise CountOverflowError(f"pooled count {value} at cell ({i}, {j}) does not fit in int64")
-    pooled = validate_table(t1.labels, counts)
+    weights = metric_weights(validate_table(t1.labels, counts), metric)[:, None]
     s1, s2 = (skew_matrix(t, lam) for t in (t1, t2))
     s_plus, s_minus = _frozen(s1 + s2), _frozen(s1 - s2)
     plus, minus = paired_svd(s_plus), paired_svd(s_minus)
@@ -127,9 +132,12 @@ def build_matched(
         )
         for i in order
     )
+    sum_rows, sum_cols = _first_block(svd_plus, weights, size)
+    difference_rows, difference_cols = _first_block(svd_minus, weights, size)
     return MatchedAnalysis(
         labels=t1.labels,
         lam=require_lambda(lam),
+        metric=metric,
         skew_first=s1,
         skew_second=s2,
         s_plus=s_plus,
@@ -137,38 +145,8 @@ def build_matched(
         svd_plus=svd_plus,
         svd_minus=svd_minus,
         dim_classes=classes,
-        pooled=pooled,
-    )
-
-
-def matched_coordinates(m: MatchedAnalysis, metric: str = "identity") -> MatchedCoordinates:
-    """First-block principal coordinates for the sum and difference components.
-
-    Under the identity metric (the default for matched analyses) the
-    coordinates are the block singular vectors scaled by their singular
-    values, reported on the first block of categories: the component
-    vectors over sqrt(2). The averaged metric weights rows by the pooled
-    margins of the element-wise sum of the two tables.
-    """
-    size = m.size
-    weights = metric_weights(m.pooled, metric)[:, None]
-
-    def padded(a: np.ndarray) -> np.ndarray:
-        # odd R keeps the component's null dimension as a zero column
-        return np.concatenate([a, np.zeros(a.shape[:-1] + (size - a.shape[-1],))], axis=-1)
-
-    def first_block(svd: PairedSVD) -> tuple[np.ndarray, np.ndarray]:
-        rows = weights * (svd.left_vectors / math.sqrt(2.0) * svd.singular_values)
-        return padded(rows), padded(_quarter_turn(rows))
-
-    sum_rows, sum_cols = first_block(m.svd_plus)
-    difference_rows, difference_cols = first_block(m.svd_minus)
-    return MatchedCoordinates(
-        metric=metric,
         sum_rows=sum_rows,
         sum_cols=sum_cols,
-        sum_singular_values=padded(m.svd_plus.singular_values),
         difference_rows=difference_rows,
         difference_cols=difference_cols,
-        difference_singular_values=padded(m.svd_minus.singular_values),
     )

@@ -27,7 +27,7 @@ from .decomposition import (
 from .divergence import NAMED_DIVERGENCES, asymmetry_measure, bowker_statistic, require_lambda
 from .errors import DimensionOutOfRangeError, InputError, InvalidAlphaError, InvalidParameterError
 from .errors import FullySymmetricError, IdentityMetricUnsupportedError, UnsupportedDimensionError
-from .matched import build_matched, matched_coordinates
+from .matched import build_matched
 from .svg import render_svg_plot
 from .table import ContingencyTable
 
@@ -457,8 +457,7 @@ def run_matched(
     config: AnalysisConfig, t1: ContingencyTable, t2: ContingencyTable
 ) -> AnalysisReport:
     """Matched-pair pipeline: component SVDs, their merged block values, coordinates."""
-    analysis = build_matched(t1, t2, config.lam)
-    coords = matched_coordinates(analysis, config.metric)
+    analysis = build_matched(t1, t2, config.lam, config.metric)
     block_values = np.array([cls.singular_value for cls in analysis.dim_classes])
     total_inertia = float(np.sum(block_values ** 2))
     report = AnalysisReport(
@@ -482,11 +481,11 @@ def run_matched(
                 }
                 for cls in analysis.dim_classes
             ],
-            "metric": coords.metric,
-            "sum_rows": _matrix(coords.sum_rows),
-            "sum_cols": _matrix(coords.sum_cols),
-            "difference_rows": _matrix(coords.difference_rows),
-            "difference_cols": _matrix(coords.difference_cols),
+            "metric": analysis.metric,
+            "sum_rows": _matrix(analysis.sum_rows),
+            "sum_cols": _matrix(analysis.sum_cols),
+            "difference_rows": _matrix(analysis.difference_rows),
+            "difference_cols": _matrix(analysis.difference_cols),
             "block_total_inertia": total_inertia,
         },
         warnings=[]
@@ -495,11 +494,12 @@ def run_matched(
     )
     if config.svg_path:
         for component, path in matched_svg_paths(config.svg_path).items():
-            values = getattr(coords, f"{component}_singular_values")
+            # the component's R block values, its null dimension's zero included
+            values = np.array([c.singular_value for c in analysis.dim_classes if c.component == component])
             svg = _plot_svg(
                 analysis.labels,
-                getattr(coords, f"{component}_rows"),
-                getattr(coords, f"{component}_cols"),
+                getattr(analysis, f"{component}_rows"),
+                getattr(analysis, f"{component}_cols"),
                 _shares(values, total_inertia),
                 component,
                 config,

@@ -159,6 +159,35 @@ def test_matched_command(capsys, tmp_path):
     assert (tmp_path / "gss_difference.svg").exists()
 
 
+def test_matched_plot_captions_at_odd_size(capsys, coffee_csv, tmp_path):
+    # at R = 5 each component's fifth dimension is its null one, whose share is 0
+    other = tmp_path / "other.csv"
+    other.write_text(
+        ",HP,TC,SA,NE,BR\nHP,80,20,30,9,5\nTC,12,50,14,2,7\nSA,25,8,140,11,15\n"
+        "NE,3,6,12,20,4\nBR,14,3,9,6,30\n",
+        encoding="utf-8",
+    )
+    tables = (str(coffee_csv), str(other))
+    code, out, err = run_cli(
+        capsys, "matched", *tables, "--dims", "1,5", "--svg", str(tmp_path / "m.svg")
+    )
+    assert code == 0, err
+    matched = json.loads(out)["matched"]
+    for component in ("sum", "difference"):
+        svg = (tmp_path / f"m_{component}.svg").read_text(encoding="utf-8")
+        top = matched[f"{component}_singular_values"][0]
+        share = 100.0 * top**2 / matched["block_total_inertia"]
+        assert share > 0.0
+        assert f"{component} axis 1 ({share:.2f}%)" in svg
+        assert f"{component} axis 5 (0.00%)" in svg
+    before = sorted(path.name for path in tmp_path.iterdir())
+    code, out, err = run_cli(
+        capsys, "matched", *tables, "--dims", "1,6", "--svg", str(tmp_path / "bad.svg")
+    )
+    assert code == 2 and out == "" and "dimension 6 out of range 1..5" in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == before
+
+
 def test_matched_command_on_two_symmetric_tables(capsys, tmp_path):
     table = tmp_path / "sym.csv"
     table.write_text(",a,b,c\na,5,3,2\nb,3,4,1\nc,2,1,6\n", encoding="utf-8")

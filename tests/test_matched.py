@@ -13,8 +13,13 @@ from conftest import (
     random_table,
 )
 from skewca import matched
-from skewca.errors import CountOverflowError, DimensionMismatchError, LabelMismatchError
-from skewca.matched import build_matched, matched_coordinates
+from skewca.errors import (
+    CountOverflowError,
+    DimensionMismatchError,
+    InvalidParameterError,
+    LabelMismatchError,
+)
+from skewca.matched import build_matched
 from skewca.divergence import asymmetry_measure
 from skewca.table import to_probabilities, validate_table
 
@@ -40,9 +45,8 @@ def test_identical_tables(rng):
     for cls in m.dim_classes:
         if cls.singular_value > 1e-12:
             assert cls.component == "sum"
-    coords = matched_coordinates(m, "identity")
-    assert np.all(coords.difference_rows == 0.0)
-    assert np.all(coords.difference_cols == 0.0)
+    assert np.all(m.difference_rows == 0.0)
+    assert np.all(m.difference_cols == 0.0)
 
 
 def test_second_table_symmetric_duplicates_first(rng):
@@ -72,8 +76,7 @@ def test_transposed_pair_kills_the_sum_component(rng):
     for cls in m.dim_classes:
         if cls.singular_value > 1e-12:
             assert cls.component == "difference"
-    coords = matched_coordinates(m, "identity")
-    assert np.abs(coords.sum_rows).max() < 1e-12
+    assert np.abs(m.sum_rows).max() < 1e-12
 
 
 def test_block_values_union_property(rng):
@@ -100,13 +103,12 @@ def test_block_values_union_property(rng):
         if np.abs(plus[:, None] - minus[None, :]).min() < 1e-6:
             continue
         checked += 1
-        coords = matched_coordinates(m, "identity")
         for component in ("sum", "difference"):
             dims = [k for k, cls in enumerate(m.dim_classes) if cls.component == component]
             left, right = block_svd.left_vectors, block_svd.right_vectors
             for side, vectors in (("rows", left), ("cols", right)):
                 expected = vectors[:size, dims] * block_svd.singular_values[dims]
-                ours = getattr(coords, f"{component}_{side}")
+                ours = getattr(m, f"{component}_{side}")
                 for k in range(0, size, 2):
                     pair = slice(k, k + 2)
                     gap = min(
@@ -208,10 +210,8 @@ def test_swap_antisymmetry(rng):
     assert np.abs(
         ab.svd_plus.singular_values - ba.svd_plus.singular_values
     ).max() < 1e-12
-    ca = matched_coordinates(ab, "identity")
-    cb = matched_coordinates(ba, "identity")
-    da = np.linalg.norm(ca.difference_rows, axis=1)
-    db = np.linalg.norm(cb.difference_rows, axis=1)
+    da = np.linalg.norm(ab.difference_rows, axis=1)
+    db = np.linalg.norm(ba.difference_rows, axis=1)
     assert np.abs(da - db).max() < 1e-10
 
 
@@ -223,10 +223,8 @@ def test_sample_size_independence(rng):
     assert np.abs(
         base.block_svd.singular_values - scaled.block_svd.singular_values
     ).max() < 1e-12
-    cb = matched_coordinates(base, "identity")
-    cs = matched_coordinates(scaled, "identity")
-    assert np.abs(cb.sum_rows - cs.sum_rows).max() < 1e-12
-    assert np.abs(cb.difference_rows - cs.difference_rows).max() < 1e-12
+    assert np.abs(base.sum_rows - scaled.sum_rows).max() < 1e-12
+    assert np.abs(base.difference_rows - scaled.difference_rows).max() < 1e-12
 
 
 def test_mismatch_errors(rng):
@@ -237,6 +235,20 @@ def test_mismatch_errors(rng):
     relabeled = validate_table(["w", "x", "y", "z"], t1.counts)
     with pytest.raises(LabelMismatchError):
         build_matched(t1, relabeled, 1.0)
+
+
+def test_build_matched_rejects_unknown_metric_before_any_eigensolve(rng, monkeypatch):
+    calls = []
+    counted = matched.paired_svd
+    monkeypatch.setattr(matched, "paired_svd", lambda s: calls.append(s) or counted(s))
+    t1 = random_table(rng, 4)
+    t2 = validate_table(t1.labels, random_table(rng, 4).counts)
+    with pytest.raises(InvalidParameterError, match="metric must be one of"):
+        build_matched(t1, t2, 1.0, "weird")
+    assert calls == []
+    # the counter sees the two component eigensolves of a valid build
+    assert build_matched(t1, t2, 1.0, "averaged").metric == "averaged"
+    assert len(calls) == 2
 
 
 # -------------------------------------------------- published reproduction
@@ -276,8 +288,7 @@ def test_opinion_block_vector_pattern(opinions):
 def test_opinion_coordinates_match_published_norms(opinions):
     t1, t2 = opinions
     m = build_matched(t1, t2, 1.0)
-    coords = matched_coordinates(m, "identity")
-    mine = np.linalg.norm(coords.sum_cols[:, :2], axis=1)
+    mine = np.linalg.norm(m.sum_cols[:, :2], axis=1)
     published = np.linalg.norm(PUBLISHED_COLUMN_COORDS, axis=1)
     assert np.abs(mine - published).max() < 1e-3
     # first category's distance in the dominant plane
@@ -287,25 +298,23 @@ def test_opinion_coordinates_match_published_norms(opinions):
 def test_opinion_difference_component_near_origin(opinions):
     t1, t2 = opinions
     m = build_matched(t1, t2, 1.0)
-    coords = matched_coordinates(m, "identity")
-    distances = np.linalg.norm(coords.difference_rows, axis=1)
+    distances = np.linalg.norm(m.difference_rows, axis=1)
     assert np.all(distances <= 0.16)
 
 
 def test_pooled_metric_variant(opinions):
     t1, t2 = opinions
-    m = build_matched(t1, t2, 1.0)
-    coords = matched_coordinates(m, "averaged")
-    assert coords.metric == "averaged"
-    assert coords.sum_rows.shape == (4, 4)
-    assert np.all(np.isfinite(coords.sum_rows))
+    m = build_matched(t1, t2, 1.0, "averaged")
+    assert m.metric == "averaged"
+    assert m.sum_rows.shape == (4, 4)
+    assert np.all(np.isfinite(m.sum_rows))
 
 
 def test_pooled_count_overflow_names_the_cell():
     t1 = validate_table(["a", "b", "c"], [[1, 2, 3], [4, 5, 5 * 10**18], [7, 8, 9]])
     t2 = validate_table(["a", "b", "c"], [[1, 2, 3], [4, 5, 6], [7, 5 * 10**18, 9]])
     small = validate_table(["a", "b", "c"], [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    assert build_matched(t1, small, 1.0).pooled.p.shape == (3, 3)
+    assert build_matched(t1, small, 1.0, "averaged").sum_rows.shape == (3, 3)
     # every pooled cell fits, the pooled total does not
     with pytest.raises(CountOverflowError, match="total count"):
         build_matched(t1, t2, 1.0)
