@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Run the coffee brand-switching analysis at the four named divergences.
 
-Writes one JSON report and one SVG plot per divergence into out/ at the
-repository root, plus a lam grid scan. Reports record the SVG path
-relative to that root (out/coffee_pearson.svg), so they do not depend on
-where the checkout lives:
+Writes one JSON report and one SVG plot per divergence, plus a lam grid
+scan, into out/ under the current directory. Reports record the SVG path
+relative to that directory (out/coffee_pearson.svg), so they do not depend
+on where the checkout lives. Run from the repository root, it regenerates
+the tracked out/:
 
     python scripts/coffee_analysis.py
 """
 
-import os
 from pathlib import Path
 
 import numpy as np
@@ -48,5 +48,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    os.chdir(ROOT)
     main()

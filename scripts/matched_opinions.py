@@ -3,13 +3,13 @@
 
 The two groups differ five-fold in sample size; the measure-based scaling
 makes their skew matrices directly comparable anyway. Writes the report
-and the two component plots into out/ at the repository root; the report
-records the SVG path relative to that root (out/opinions.svg).
+and the two component plots into out/ under the current directory; the
+report records the SVG path relative to it (out/opinions.svg). Run from the
+repository root, it regenerates the tracked out/:
 
     python scripts/matched_opinions.py
 """
 
-import os
 from pathlib import Path
 
 import numpy as np
@@ -45,5 +45,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    os.chdir(ROOT)
     main()

@@ -81,7 +81,7 @@ def confidence_regions(
         raise IdentityMetricUnsupportedError("identity metric")
     quantile = chi_square_quantile(size * (size - 1) // 2, alpha)
     scale = power_divergence_scale(profile.lam)
-    calibration = quantile * scale / (2.0 * t.n * profile.delta * dec.total_inertia)
+    calibration = quantile * scale / (2.0 * t.n * t.delta * dec.total_inertia)
     covers = calibration >= 1.0
     a = dec.left_vectors
     radii = dec.metric_weights * float(dec.singular_values[0]) * np.sqrt(

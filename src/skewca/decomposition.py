@@ -208,14 +208,13 @@ def decompose(s: np.ndarray, t: ContingencyTable, metric: str = "averaged") -> S
     )
 
 
-def origin_distances(dec: SymmetryDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """Distance of each category's row and column point from the origin.
+def origin_distances(dec: SymmetryDecomposition) -> np.ndarray:
+    """Read-only distance of each category from the origin, its row point's and column point's alike.
 
-    A quarter turn keeps distances, so both sides get one read-only array.
-    A category sits at the origin exactly when its whole row and column are symmetric.
+    A quarter turn keeps distances. A category sits at the origin exactly
+    when its whole row and column are symmetric.
     """
-    distances = _frozen(np.linalg.norm(dec.row_coords, axis=1))
-    return distances, distances
+    return _frozen(np.linalg.norm(dec.row_coords, axis=1))
 
 
 def default_lambda_grid() -> np.ndarray:

@@ -68,7 +68,6 @@ class AsymmetryProfile:
     """
 
     lam: float
-    delta: float
     phi_total: float
     phi_cells: np.ndarray = field(repr=False)
     zero_pair_cells: tuple[tuple[int, int], ...] = ()
@@ -135,12 +134,6 @@ def _definition(lams, em, near0, r, lower):
         terms[near0] = ((1.0 + r) * log_upper + lower * log_lower) / (2.0 * _LN2)
     np.copyto(terms, 1.0, where=lower == 0.0)  # g(1) = 2^lam - 1
     return terms
-
-
-def pair_departures(a: np.ndarray, b: np.ndarray, delta: float, lams) -> PairDepartures:
-    """``departures`` of the pairs (a[k], b[k]) normalized by ``delta``, each lam checked first."""
-    lams = [require_lambda(lam) for lam in np.ravel(lams)]
-    return departures(CategoryPairs(a + b, a - b, delta), lams)
 
 
 def departures(pairs: CategoryPairs, lams) -> PairDepartures:
@@ -227,7 +220,6 @@ def asymmetry_measure(t: ContingencyTable, lam: float) -> AsymmetryProfile:
         zero_pairs = tuple(zip(rows[empty].tolist(), cols[empty].tolist()))
     return AsymmetryProfile(
         lam=lam,
-        delta=t.delta,
         phi_total=phi,
         phi_cells=_frozen(pair_matrices(result.cells, result.cells, t.size)[0]),
         zero_pair_cells=zero_pairs,

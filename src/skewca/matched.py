@@ -46,8 +46,6 @@ class MatchedAnalysis:
     metric: str
     skew_first: np.ndarray = field(repr=False)
     skew_second: np.ndarray = field(repr=False)
-    s_plus: np.ndarray = field(repr=False)
-    s_minus: np.ndarray = field(repr=False)
     svd_plus: PairedSVD = field(repr=False)
     svd_minus: PairedSVD = field(repr=False)
     dim_classes: tuple[DimensionClass, ...]
@@ -113,8 +111,7 @@ def build_matched(
         raise CountOverflowError(f"pooled count {value} at cell ({i}, {j}) does not fit in int64")
     weights = metric_weights(validate_table(t1.labels, counts), metric)[:, None]
     s1, s2 = (skew_matrix(t, lam) for t in (t1, t2))
-    s_plus, s_minus = _frozen(s1 + s2), _frozen(s1 - s2)
-    plus, minus = paired_svd(s_plus), paired_svd(s_minus)
+    plus, minus = paired_svd(s1 + s2), paired_svd(s1 - s2)
     size, n_dims = t1.size, plus.n_dims
     # odd sizes give each component one more zero value, its null dimension
     values = np.zeros(2 * size)
@@ -140,8 +137,6 @@ def build_matched(
         metric=metric,
         skew_first=s1,
         skew_second=s2,
-        s_plus=s_plus,
-        s_minus=s_minus,
         svd_plus=svd_plus,
         svd_minus=svd_minus,
         dim_classes=classes,

@@ -203,7 +203,9 @@ class AnalysisReport:
             emit("scan", "", "", "best_lambda", self.scan["best_lambda"])
             emit("scan", "", "", "best_contribution", self.scan["best_contribution"])
             for lam, contrib in zip(self.scan["grid"], self.scan["contributions"]):
-                emit("scan_point", "", "", f"{lam:.2f}", contrib)
+                # two decimals where they name the grid point exactly, its repr where they do not
+                key = f"{lam:.2f}"
+                emit("scan_point", "", "", key if float(key) == lam else repr(lam), contrib)
         numbered("warning", self.warnings)
         return out.getvalue()
 
@@ -304,11 +306,7 @@ def _fill_float_lists(parts: list, slots: list) -> None:
 
 
 def _floats(arr) -> list:
-    """The report's float list; "+ 0.0" writes a zero of either sign as +0.0, as in _matrix."""
-    return (np.asarray(arr, dtype=float).ravel() + 0.0).tolist()
-
-
-def _matrix(arr) -> list[list[float]]:
+    """The report's float list, or list of lists; "+ 0.0" writes a zero of either sign as +0.0."""
     return (np.asarray(arr, dtype=float) + 0.0).tolist()
 
 
@@ -392,7 +390,7 @@ def run_analyze(config: AnalysisConfig, table: ContingencyTable) -> AnalysisRepo
     bowker = _bowker_dict(table)
     profile = asymmetry_measure(table, config.lam)
     dec = decompose(skew_from_profile(table, profile), table, config.metric)
-    row_dist, col_dist = origin_distances(dec)
+    distances = _floats(origin_distances(dec))
 
     for i, j in profile.zero_pair_cells:
         warnings.append(
@@ -415,9 +413,9 @@ def run_analyze(config: AnalysisConfig, table: ContingencyTable) -> AnalysisRepo
         bowker=bowker,
         asymmetry={
             "lambda": profile.lam,
-            "delta": profile.delta,
+            "delta": table.delta,
             "phi_total": profile.phi_total,
-            "phi_cells": _matrix(profile.phi_cells),
+            "phi_cells": _floats(profile.phi_cells),
             "zero_pair_cells": [list(pair) for pair in profile.zero_pair_cells],
         },
         decomposition={
@@ -427,14 +425,14 @@ def run_analyze(config: AnalysisConfig, table: ContingencyTable) -> AnalysisRepo
             "total_inertia": dec.total_inertia,
             "fully_symmetric": dec.fully_symmetric,
             "metric_weights": _floats(dec.metric_weights),
-            "left_vectors": _matrix(dec.left_vectors),
-            "right_vectors": _matrix(dec.right_vectors),
+            "left_vectors": _floats(dec.left_vectors),
+            "right_vectors": _floats(dec.right_vectors),
         },
         coordinates={
-            "rows": _matrix(dec.row_coords),
-            "columns": _matrix(dec.col_coords),
-            "row_origin_distances": _floats(row_dist),
-            "column_origin_distances": _floats(col_dist),
+            "rows": _floats(dec.row_coords),
+            "columns": _floats(dec.col_coords),
+            "row_origin_distances": distances,
+            "column_origin_distances": distances,
         },
         regions=[_region_dict(r) for r in regions] if regions is not None else None,
         warnings=warnings,
@@ -482,10 +480,10 @@ def run_matched(
                 for cls in analysis.dim_classes
             ],
             "metric": analysis.metric,
-            "sum_rows": _matrix(analysis.sum_rows),
-            "sum_cols": _matrix(analysis.sum_cols),
-            "difference_rows": _matrix(analysis.difference_rows),
-            "difference_cols": _matrix(analysis.difference_cols),
+            "sum_rows": _floats(analysis.sum_rows),
+            "sum_cols": _floats(analysis.sum_cols),
+            "difference_rows": _floats(analysis.difference_rows),
+            "difference_cols": _floats(analysis.difference_cols),
             "block_total_inertia": total_inertia,
         },
         warnings=[]

@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 from skewca import chisquare
+from skewca.divergence import departures, require_lambda
 from skewca.reporting import AnalysisReport
-from skewca.table import validate_table
+from skewca.table import CategoryPairs, validate_table
 from skewca.tableio import load_table
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -125,6 +126,13 @@ def chi_square_cdf(dof: int, x: float) -> float:
     """Chi-square CDF, the lower tail of the package's one tail split; the round-trip
     oracle of the quantile, which nothing in the package itself calls."""
     return chisquare._tails(dof, x)[0]
+
+
+def pair_departures(a: np.ndarray, b: np.ndarray, delta: float, lams):
+    """The package's ``departures`` of the pairs (a[k], b[k]) normalized by ``delta``,
+    each lam checked first: the kernel's entry from raw pairs, without a table."""
+    lams = [require_lambda(lam) for lam in np.ravel(lams)]
+    return departures(CategoryPairs(a + b, a - b, delta), lams)
 
 
 def oracle_skew(p: np.ndarray, lam: float) -> np.ndarray:

@@ -152,7 +152,7 @@ def test_criterion_4_2x2_analytic_oracle():
             expected = ((a - b) / (a + b)) ** 2
             worst_phi = max(worst_phi, abs(phi - expected))
             dec = decompose(skew_matrix(p, 1.0), p)
-            rows, cols = origin_distances(dec)
+            rows, cols = origin_distances(dec), np.linalg.norm(dec.col_coords, axis=1)
             # both distances equal sqrt(phi); concretely 0.5 for a=3, b=1
             for d in (*rows, *cols):
                 worst_dist = max(worst_dist, abs(d - math.sqrt(expected)))
@@ -161,7 +161,7 @@ def test_criterion_4_2x2_analytic_oracle():
     t31 = validate_table(["x", "y"], [[0, 3], [1, 0]])
     p31 = to_probabilities(t31)
     dec31 = decompose(skew_matrix(p31, 1.0), p31)
-    d31 = origin_distances(dec31)[0]
+    d31 = origin_distances(dec31)
     ok = worst_phi <= 1e-12 and worst_dist <= 1e-12 and np.allclose(d31, 0.5, atol=1e-12)
     record_criterion(
         4,
@@ -248,7 +248,7 @@ def test_criterion_6_coffee_qualitative(coffee):
         regions = [
             r for r in confidence_regions(dec, coffee, profile, 0.05) if r.axis == "row"
         ]
-        dists, _ = origin_distances(dec)
+        dists = origin_distances(dec)
         times.append(time.perf_counter() - start)
 
         assert oracle_excludes

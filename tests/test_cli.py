@@ -139,6 +139,14 @@ def test_scan_command(capsys, coffee_csv):
     assert report["scan"]["grid"] == [0.5, 0.75, 1.0]
 
 
+def test_scan_csv_keys_name_each_point_of_a_fine_grid(capsys, coffee_csv):
+    code, out, err = run_cli(capsys, "scan", str(coffee_csv), "--grid", "0.5:0.52:0.005", "--format", "csv")
+    assert code == 0, err
+    keys = [line.split(",")[3] for line in out.splitlines() if line.startswith("scan_point,")]
+    assert len(set(keys)) == 5
+    assert [float(key) for key in keys] == [0.5, 0.505, 0.51, 0.515, 0.52]
+
+
 def test_matched_command(capsys, tmp_path):
     t1 = tmp_path / "t1.csv"
     t2 = tmp_path / "t2.csv"

@@ -290,7 +290,7 @@ def loop_radii(dec, t, profile, alpha):
     quantile = chi_square_quantile(size * (size - 1) // 2, alpha)
     calibration = (
         quantile * power_divergence_scale(profile.lam)
-        / (2.0 * t.n * profile.delta * dec.total_inertia)
+        / (2.0 * t.n * t.delta * dec.total_inertia)
     )
     mu1, mu2 = float(dec.singular_values[0]), float(dec.singular_values[1])
     out = []

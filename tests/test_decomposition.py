@@ -284,7 +284,7 @@ def test_2x2_origin_distance_is_half():
     dec = decompose(skew_matrix(p, 1.0), p)
     assert np.allclose(dec.metric_weights, math.sqrt(2.0))
     assert dec.singular_values[0] == pytest.approx(math.sqrt(0.125), abs=1e-14)
-    rows, cols = origin_distances(dec)
+    rows, cols = origin_distances(dec), np.linalg.norm(dec.col_coords, axis=1)
     assert np.allclose(rows, 0.5, atol=1e-12)
     assert np.allclose(cols, 0.5, atol=1e-12)
     assert dec.contributions[0] == pytest.approx(50.0, abs=1e-10)
@@ -340,11 +340,12 @@ def test_origin_distances_match_oracle(coffee, rng):
         p = to_probabilities(t)
         for lam in (-0.5, 0.5, 1.0):
             dec = decompose(skew_matrix(p, lam), p)
-            rows, cols = origin_distances(dec)
+            distances = origin_distances(dec)
             expected = oracle_origin_distances(np.asarray(p.p), lam)
-            assert np.abs(rows - expected).max() < 1e-10
-            # a quarter turn keeps distances: one value per category, bit for bit
-            assert np.array_equal(rows, cols)
+            assert np.abs(distances - expected).max() < 1e-10
+            # a quarter turn keeps distances: the column points lie as far out, to rounding
+            cols = np.linalg.norm(dec.col_coords, axis=1)
+            assert np.abs(cols - distances).max() <= 1e-15
 
 
 def test_origin_distance_zero_iff_row_symmetric():
@@ -352,7 +353,7 @@ def test_origin_distance_zero_iff_row_symmetric():
     t = validate_table(["a", "b", "c"], [[0, 3, 1], [1, 0, 1], [1, 1, 0]])
     p = to_probabilities(t)
     dec = decompose(skew_matrix(p, 1.0), p)
-    rows, cols = origin_distances(dec)
+    rows, cols = origin_distances(dec), np.linalg.norm(dec.col_coords, axis=1)
     assert rows[2] < 1e-14 and cols[2] < 1e-14
     assert rows[0] > 1e-3 and rows[1] > 1e-3
 
@@ -362,7 +363,7 @@ def test_category_with_no_observations_sits_at_origin():
     p = to_probabilities(t)
     dec = decompose(skew_matrix(p, 1.0), p)
     assert np.all(np.isfinite(dec.row_coords))
-    rows, cols = origin_distances(dec)
+    rows, cols = origin_distances(dec), np.linalg.norm(dec.col_coords, axis=1)
     assert rows[2] == 0.0 and cols[2] == 0.0
     assert rows[0] > 0.0
 
@@ -384,8 +385,8 @@ def test_count_scaling_invariance(coffee):
         dec2 = decompose(skew_matrix(p2, 1.0), p2)
         assert np.abs(dec1.singular_values - dec2.singular_values).max() < 1e-12
         assert np.abs(dec1.row_coords - dec2.row_coords).max() < 1e-12
-        d1 = origin_distances(dec1)[0]
-        d2 = origin_distances(dec2)[0]
+        d1 = origin_distances(dec1)
+        d2 = origin_distances(dec2)
         assert np.abs(d1 - d2).max() < 1e-12
 
 
@@ -402,7 +403,7 @@ def test_identity_metric():
     p = to_probabilities(table22(3, 1))
     dec = decompose(skew_matrix(p, 1.0), p, metric="identity")
     assert np.all(dec.metric_weights == 1.0)
-    rows, _ = origin_distances(dec)
+    rows = origin_distances(dec)
     assert np.allclose(rows, math.sqrt(0.125), atol=1e-12)
     with pytest.raises(InvalidParameterError):
         metric_weights(p, "weird")

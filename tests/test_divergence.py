@@ -13,6 +13,7 @@ from conftest import (
     oracle_phi_cell,
     oracle_phi_divergence_form,
     oracle_phi_total,
+    pair_departures,
     random_table,
     symmetrized,
 )
@@ -22,7 +23,6 @@ from skewca.divergence import (
     NAMED_DIVERGENCES,
     asymmetry_measure,
     bowker_statistic,
-    pair_departures,
     power_divergence_scale,
     power_divergence_statistic,
 )
@@ -119,7 +119,7 @@ def test_2x2_pearson_total():
     p = to_probabilities(table22(3, 1))
     profile = asymmetry_measure(p, 1.0)
     assert profile.phi_total == pytest.approx(0.25, abs=1e-15)
-    assert profile.delta == 1.0
+    assert p.delta == 1.0
 
 
 def test_one_sided_table_measures_one():
@@ -245,7 +245,7 @@ def test_statistic_identity_with_measure(coffee):
     for lam in LAMBDA_GRID:
         stat = power_divergence_statistic(coffee, lam)
         profile = asymmetry_measure(p, lam)
-        expected = 2.0 * coffee.n * profile.delta * profile.phi_total / power_divergence_scale(lam)
+        expected = 2.0 * coffee.n * p.delta * profile.phi_total / power_divergence_scale(lam)
         assert stat == pytest.approx(expected, rel=1e-10)
 
 

@@ -39,7 +39,7 @@ PUBLISHED_COLUMN_COORDS = np.array(
 def test_identical_tables(rng):
     t = random_table(rng, 4)
     m = build_matched(t, t, 1.0)
-    assert np.all(m.s_minus == 0.0)
+    assert np.all((m.skew_first - m.skew_second) == 0.0)
     assert np.abs(m.svd_minus.singular_values).max() == 0.0
     # every positive block value carries the sum tag
     for cls in m.dim_classes:
@@ -54,8 +54,8 @@ def test_second_table_symmetric_duplicates_first(rng):
     sym_counts = np.array([[1, 2, 3, 4], [2, 5, 6, 7], [3, 6, 8, 9], [4, 7, 9, 2]])
     t2 = validate_table(t1.labels, sym_counts)
     m = build_matched(t1, t2, 1.0)
-    assert np.abs(m.s_plus - m.s_minus).max() < 1e-15
-    assert np.abs(m.s_plus - m.skew_first).max() < 1e-15
+    assert np.abs((m.skew_first + m.skew_second) - (m.skew_first - m.skew_second)).max() < 1e-15
+    assert np.abs((m.skew_first + m.skew_second) - m.skew_first).max() < 1e-15
     vals = m.block_svd.singular_values
     # every value of the first table's SVD appears twice: once sum, once difference
     plus = m.svd_plus.singular_values
@@ -71,8 +71,8 @@ def test_transposed_pair_kills_the_sum_component(rng):
     t1 = random_table(rng, 4)
     t2 = validate_table(t1.labels, t1.counts.T.copy())
     m = build_matched(t1, t2, 1.0)
-    assert np.abs(m.s_plus).max() < 1e-15
-    assert np.abs(m.s_minus - 2.0 * m.skew_first).max() < 1e-15
+    assert np.abs(m.skew_first + m.skew_second).max() < 1e-15
+    assert np.abs((m.skew_first - m.skew_second) - 2.0 * m.skew_first).max() < 1e-15
     for cls in m.dim_classes:
         if cls.singular_value > 1e-12:
             assert cls.component == "difference"
@@ -192,10 +192,10 @@ def test_skew_closure(rng):
     m = build_matched(t1, t2, 0.5)
     s1, s2 = m.skew_first, m.skew_second
     cross = float(np.sum(s1 * s2))
-    assert float(np.sum(m.s_plus**2)) == pytest.approx(
+    assert float(np.sum((m.skew_first + m.skew_second) ** 2)) == pytest.approx(
         float(np.sum(s1**2)) + float(np.sum(s2**2)) + 2 * cross, abs=1e-12
     )
-    assert float(np.sum(m.s_minus**2)) == pytest.approx(
+    assert float(np.sum((m.skew_first - m.skew_second) ** 2)) == pytest.approx(
         float(np.sum(s1**2)) + float(np.sum(s2**2)) - 2 * cross, abs=1e-12
     )
 
@@ -205,8 +205,8 @@ def test_swap_antisymmetry(rng):
     t2 = validate_table(t1.labels, random_table(rng, 4).counts)
     ab = build_matched(t1, t2, 1.0)
     ba = build_matched(t2, t1, 1.0)
-    assert np.abs(ab.s_plus - ba.s_plus).max() < 1e-15
-    assert np.abs(ab.s_minus + ba.s_minus).max() < 1e-15
+    assert np.abs((ab.skew_first + ab.skew_second) - (ba.skew_first + ba.skew_second)).max() < 1e-15
+    assert np.abs((ab.skew_first - ab.skew_second) + (ba.skew_first - ba.skew_second)).max() < 1e-15
     assert np.abs(
         ab.svd_plus.singular_values - ba.svd_plus.singular_values
     ).max() < 1e-12

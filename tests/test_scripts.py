@@ -4,7 +4,8 @@ Both scripts are rerun into a temporary directory. Their JSON reports must
 match the tracked ones in structure, strings, integers and booleans, with
 floats equal to 1e-12 relative (an absolute floor of 1e-15 admits the
 rounding noise around exact zeros); their SVG plots must match byte for
-byte.
+byte. Run as programs, they write into out/ under the directory they run
+from and leave the repository's own out/ untouched.
 """
 
 import json
@@ -46,3 +47,16 @@ def test_scripts_reproduce_tracked_out(tmp_path, monkeypatch, capsys):
             assert ours.read_bytes() == golden.read_bytes(), name
         else:
             assert_same(json.loads(ours.read_text()), json.loads(golden.read_text()), name)
+
+
+def test_scripts_write_under_the_directory_they_run_from(tmp_path, monkeypatch, capsys):
+    def snapshot(directory: Path) -> dict:
+        return {path.name: (path.read_bytes(), path.stat().st_mtime_ns) for path in directory.iterdir()}
+
+    tracked = snapshot(ROOT / "out")
+    monkeypatch.chdir(tmp_path)
+    for script in SCRIPTS:
+        runpy.run_path(str(ROOT / "scripts" / script), run_name="__main__")
+    capsys.readouterr()
+    assert sorted(snapshot(tmp_path / "out")) == sorted(tracked)
+    assert snapshot(ROOT / "out") == tracked
