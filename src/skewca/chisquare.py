@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import InvalidAlphaError, InvalidDofError
+from .errors import InputError
 
 _GAMMA_EPS = 1e-16
 _GAMMA_MAX_ITER = 500
@@ -71,7 +71,7 @@ def _upper_gamma_cf(a: float, x: float) -> float:
 def _tails(dof: int, x: float) -> tuple[float, float]:
     """(CDF, upper tail) at x, from the one split the module docstring describes."""
     if dof < 1:
-        raise InvalidDofError(f"dof must be >= 1, got {dof}")
+        raise ValueError(f"dof must be >= 1, got {dof}")
     if x <= 0.0:
         return 0.0, 1.0
     if x < dof + 2.0:
@@ -109,9 +109,9 @@ def chi_square_quantile(dof: int, alpha: float) -> float:
     bracket is below 1e-15 x.
     """
     if dof < 1:
-        raise InvalidDofError(f"dof must be >= 1, got {dof}")
+        raise ValueError(f"dof must be >= 1, got {dof}")
     if not sys.float_info.min <= alpha < 1.0:
-        raise InvalidAlphaError(f"alpha must be a normal double in (0, 1), got {alpha}")
+        raise InputError(f"alpha must be a normal double in (0, 1), got {alpha}")
     upper = alpha <= 0.5
     target = alpha if upper else 1.0 - alpha
     z = _normal_upper_quantile(alpha)

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .decomposition import METRICS
-from .errors import InputError, InvalidAlphaError, SkewcaError
+from .errors import AnalysisError, InputError
 from .reporting import (
     OUTPUT_FORMATS,
     PLOT_AXES,
@@ -120,7 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="divergence parameter: a number > -1 or one of "
                 "hellinger, kl, cressie-read, pearson (default pearson)",
             )
-            cmd.add_argument("--metric", choices=METRICS)
+            cmd.add_argument(
+                "--metric", choices=METRICS, help="default averaged for analyze, identity for matched"
+            )
             cmd.add_argument("--dims", help="two plot dimensions, e.g. 1,2")
             cmd.add_argument("--svg", help="write an SVG plot to this path")
             cmd.add_argument("--axes", choices=PLOT_AXES)
@@ -164,11 +166,9 @@ def _build_config(args: argparse.Namespace) -> AnalysisConfig:
         try:
             values["alpha"] = float(values["alpha"])
         except ValueError:
-            raise InvalidAlphaError(f"alpha must be a number, got {values['alpha']!r}") from None
+            raise InputError(f"alpha must be a number, got {values['alpha']!r}") from None
     if "dims" in values:
         values["dims"] = _parse_dims(values["dims"])
-    if args.command == "matched":
-        values.setdefault("metric", "identity")
     return AnalysisConfig(**{_SETTINGS[key]: value for key, value in values.items()})
 
 
@@ -217,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
         # every path the CLI opens was named by the user
         print(f"error: {exc}", file=sys.stderr)
         code = 2
-    except SkewcaError as exc:
+    except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 3
     # a failed run leaves none of the files that it set out to create

@@ -27,7 +27,7 @@ import numpy as np
 from .chisquare import chi_square_quantile
 from .decomposition import SymmetryDecomposition
 from .divergence import AsymmetryProfile, power_divergence_scale
-from .errors import FullySymmetricError, IdentityMetricUnsupportedError, UnsupportedDimensionError
+from .errors import AnalysisError
 from .table import ContingencyTable
 
 
@@ -65,20 +65,19 @@ def confidence_regions(
     ``run_analyze`` gives when it skips the circles.
 
     Raises:
-        FullySymmetricError: zero asymmetry measure.
-        UnsupportedDimensionError: 2x2 table (no dimensions remain beyond
-            the leading plane, and the calibration is not defined there).
-        IdentityMetricUnsupportedError: the derivation is tied to the
-            averaged-margin metric.
-        InvalidAlphaError: alpha not a normal double in (0, 1), from the chi-square quantile.
+        AnalysisError: zero asymmetry measure; a 2x2 table (no dimensions
+            remain beyond the leading plane, and the calibration is not
+            defined there); or the identity metric, since the derivation is
+            tied to the averaged-margin metric.
+        InputError: alpha not a normal double in (0, 1), from the chi-square quantile.
     """
     size = dec.size
     if dec.fully_symmetric or dec.total_inertia <= 0.0:
-        raise FullySymmetricError("zero asymmetry measure")
+        raise AnalysisError("zero asymmetry measure")
     if size == 2:
-        raise UnsupportedDimensionError("undefined for 2x2 tables")
+        raise AnalysisError("undefined for 2x2 tables")
     if dec.metric != "averaged":
-        raise IdentityMetricUnsupportedError("identity metric")
+        raise AnalysisError("identity metric")
     quantile = chi_square_quantile(size * (size - 1) // 2, alpha)
     scale = power_divergence_scale(profile.lam)
     calibration = quantile * scale / (2.0 * t.n * t.delta * dec.total_inertia)

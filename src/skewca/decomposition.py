@@ -26,7 +26,7 @@ import numpy as np
 
 from .divergence import AsymmetryProfile, asymmetry_measure
 from .divergence import departures, require_lambda
-from .errors import FullySymmetricError, InvalidParameterError
+from .errors import AnalysisError, InputError
 from .table import ContingencyTable, _frozen, pair_matrices, upper_triangle
 
 METRICS = ("averaged", "identity")
@@ -170,7 +170,7 @@ def metric_weights(t: ContingencyTable, metric: str) -> np.ndarray:
     so any finite weight yields the correct origin placement.
     """
     if metric not in METRICS:
-        raise InvalidParameterError(f"metric must be one of {METRICS}, got {metric!r}")
+        raise InputError(f"metric must be one of {METRICS}, got {metric!r}")
     if metric == "identity":
         return np.ones(t.size)
     p = t.p
@@ -237,7 +237,7 @@ def scan_lambda(t: ContingencyTable, grid: Sequence[float] | None = None) -> Lam
     """
     pts = default_lambda_grid() if grid is None else np.array([require_lambda(x) for x in grid])
     if pts.size == 0:
-        raise InvalidParameterError("empty lambda grid")
+        raise InputError("empty lambda grid")
     step = max(1, SCAN_CHUNK_CELLS // t.size**2)
     contribs = np.empty(pts.size)
     inertias = np.empty(pts.size)
@@ -245,7 +245,7 @@ def scan_lambda(t: ContingencyTable, grid: Sequence[float] | None = None) -> Lam
         chunk = slice(start, start + step)
         result = departures(t.pairs, pts[chunk])  # raises on delta = 0 first
         if not t.pairs.diffs.any():
-            raise FullySymmetricError(
+            raise AnalysisError(
                 "fully symmetric table: the contribution profile is undefined at every lam"
             )
         skew = skew_stack(t, result.cells)

@@ -22,11 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chisquare import chi_square_sf
-from .errors import (
-    ConsistencyError,
-    DegenerateTableError,
-    LambdaOutOfRangeError,
-)
+from .errors import AnalysisError, InputError
 from .table import CategoryPairs, ContingencyTable, _frozen, pair_index, pair_matrices
 
 # lam values closer to 0 than this use the analytic lam -> 0 limit; the
@@ -76,7 +72,7 @@ class AsymmetryProfile:
 def require_lambda(lam: float) -> float:
     lam = float(lam) + 0.0  # -0.0, the KL case, comes back as +0.0
     if not lam > -1.0 or math.isinf(lam) or math.isnan(lam):
-        raise LambdaOutOfRangeError(f"lam must be a finite number > -1, got {lam}")
+        raise InputError(f"lam must be a finite number > -1, got {lam}")
     return lam
 
 
@@ -147,13 +143,13 @@ def departures(pairs: CategoryPairs, lams) -> PairDepartures:
     agree to 1e-12; a disagreement is a numerical defect, not a property of data.
 
     Raises:
-        DegenerateTableError: delta <= 0, all mass on the diagonal.
-        LambdaOutOfRangeError: the measure overflows, or underflows to 0 on asymmetric pairs.
-        ConsistencyError: the definition disagrees with the measure.
+        AnalysisError: delta <= 0, all mass on the diagonal.
+        InputError: the measure overflows, or underflows to 0 on asymmetric pairs.
+        AssertionError: the definition disagrees with the measure, a bug.
     """
     lams = np.asarray(lams, dtype=float).reshape(-1)
     if not pairs.off_diagonal > 0:
-        raise DegenerateTableError("all mass on the diagonal: asymmetry is undefined")
+        raise AnalysisError("all mass on the diagonal: asymmetry is undefined")
     r, lower = pairs.ratios
     near0 = np.abs(lams) < LAMBDA_ZERO_TOL
     weights = pairs.sums / (2.0 * pairs.off_diagonal)  # each cell's share of delta
@@ -173,14 +169,14 @@ def departures(pairs: CategoryPairs, lams) -> PairDepartures:
     finite = np.isfinite(em) & np.isfinite(totals) & np.isfinite(check)
     if not finite.all():
         bad = float(lams[~finite][0])
-        raise LambdaOutOfRangeError(f"measure overflows double precision at lam={bad}")
+        raise InputError(f"measure overflows double precision at lam={bad}")
     if pairs.diffs.any() and not totals.all():  # an asymmetric table measures above 0
         bad = float(lams[totals == 0][0])
-        raise LambdaOutOfRangeError(f"measure underflows double precision at lam={bad}")
+        raise InputError(f"measure underflows double precision at lam={bad}")
     gap = np.abs(totals - check)
     if gap.max() > 1e-12:
         worst = int(np.argmax(gap))
-        raise ConsistencyError(
+        raise AssertionError(
             f"asymmetry measure mismatch between definitions at lam={lams[worst]}: "
             f"{totals[worst]!r} vs {check[worst]!r}"
         )
@@ -207,8 +203,8 @@ def asymmetry_measure(t: ContingencyTable, lam: float) -> AsymmetryProfile:
     it against the definition to 1e-12; Phi is recorded on the pairs.
 
     Raises:
-        LambdaOutOfRangeError: lam <= -1, or the measure overflows or underflows.
-        DegenerateTableError: every observation is on the diagonal.
+        InputError: lam <= -1, or the measure overflows or underflows.
+        AnalysisError: every observation is on the diagonal.
     """
     lam = require_lambda(lam)
     result = departures(t.pairs, lam)
@@ -240,5 +236,5 @@ def power_divergence_statistic(t: ContingencyTable, lam: float) -> float:
         t.pairs.measured[lam] = phi = float(departures(t.pairs, lam).totals[0])
     stat = 2.0 * t.pairs.off_diagonal * phi / power_divergence_scale(lam)
     if not math.isfinite(stat):
-        raise LambdaOutOfRangeError(f"statistic overflows double precision at lam={lam}")
+        raise InputError(f"statistic overflows double precision at lam={lam}")
     return stat

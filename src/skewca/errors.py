@@ -1,7 +1,8 @@
-"""Exception hierarchy.
+"""Exception hierarchy: one class per exit code.
 
-The CLI maps ``InputError`` to exit code 2 and every other ``SkewcaError``,
-``AnalysisError`` among them (degenerate data, unsupported analysis), to 3.
+The CLI maps ``InputError`` to exit code 2 and ``AnalysisError`` to 3. A
+failed internal cross-check is a bug, not a property of the data, so it
+raises ``AssertionError`` and exits 1 with its traceback.
 """
 
 
@@ -10,104 +11,8 @@ class SkewcaError(Exception):
 
 
 class InputError(SkewcaError):
-    """Invalid user input: malformed files, bad table data, bad parameters."""
+    """Invalid user input: malformed files, bad table data, bad parameters (exit code 2)."""
 
 
 class AnalysisError(SkewcaError):
-    """The requested analysis is undefined or degenerate for this data."""
-
-
-# table validation
-
-class NonSquareError(InputError):
-    pass
-
-
-class NegativeEntryError(InputError):
-    pass
-
-
-class EmptyTableError(InputError):
-    pass
-
-
-class DuplicateLabelError(InputError):
-    pass
-
-
-class LabelCountMismatchError(InputError):
-    pass
-
-
-class CountOverflowError(InputError):
-    """A count or the table total does not fit in a 64-bit signed integer."""
-
-
-class NonIntegerCountError(InputError):
-    """Counts that are not integers: floats, booleans, strings."""
-
-
-# parameters
-
-class InvalidParameterError(InputError):
-    """A parameter outside its allowed values or choices, such as an unknown metric."""
-
-
-# divergence / decomposition
-
-class LambdaOutOfRangeError(InputError):
-    pass
-
-
-class DegenerateTableError(AnalysisError):
-    """All probability mass sits on the diagonal: the measure is undefined."""
-
-
-class FullySymmetricError(AnalysisError):
-    """The table is exactly symmetric, so the requested quantity is 0/0."""
-
-
-# confidence regions
-
-class InvalidAlphaError(InputError):
-    pass
-
-
-class InvalidDofError(InputError):
-    pass
-
-
-class UnsupportedDimensionError(AnalysisError):
-    """Confidence regions are not defined for 2x2 tables."""
-
-
-class IdentityMetricUnsupportedError(AnalysisError):
-    """Confidence regions require the averaged-margin metric."""
-
-
-# matched tables
-
-class LabelMismatchError(InputError):
-    pass
-
-
-class DimensionMismatchError(InputError):
-    pass
-
-
-# file and report handling
-
-class MalformedCsvError(InputError):
-    pass
-
-
-class LabelOrderMismatchError(InputError):
-    pass
-
-
-class DimensionOutOfRangeError(InputError):
-    pass
-
-
-class ConsistencyError(AnalysisError):
-    """An internal cross-check between two computation routes failed."""
+    """The requested analysis is undefined or degenerate for this data (exit code 3)."""

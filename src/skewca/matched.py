@@ -20,7 +20,7 @@ import numpy as np
 
 from .decomposition import PairedSVD, _quarter_turn, _structural_zeros, metric_weights, paired_svd, skew_matrix
 from .divergence import require_lambda
-from .errors import CountOverflowError, DimensionMismatchError, LabelMismatchError
+from .errors import InputError
 from .table import ContingencyTable, _frozen, validate_table
 
 
@@ -96,9 +96,9 @@ def build_matched(
     pooled margins of the two tables' sum; an unknown one raises before any SVD.
     """
     if t1.size != t2.size:
-        raise DimensionMismatchError(f"table sizes differ: {t1.size} vs {t2.size}")
+        raise InputError(f"table sizes differ: {t1.size} vs {t2.size}")
     if t1.labels != t2.labels:
-        raise LabelMismatchError(
+        raise InputError(
             f"category labels differ or are ordered differently: "
             f"{t1.labels} vs {t2.labels}"
         )
@@ -108,7 +108,7 @@ def build_matched(
     if wrapped.any():
         i, j = np.argwhere(wrapped)[0]
         value = int(t1.counts[i, j]) + int(t2.counts[i, j])
-        raise CountOverflowError(f"pooled count {value} at cell ({i}, {j}) does not fit in int64")
+        raise InputError(f"pooled count {value} at cell ({i}, {j}) does not fit in int64")
     weights = metric_weights(validate_table(t1.labels, counts), metric)[:, None]
     s1, s2 = (skew_matrix(t, lam) for t in (t1, t2))
     plus, minus = paired_svd(s1 + s2), paired_svd(s1 - s2)

@@ -8,7 +8,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
@@ -25,8 +25,7 @@ from .decomposition import (
     skew_from_profile,
 )
 from .divergence import NAMED_DIVERGENCES, asymmetry_measure, bowker_statistic, require_lambda
-from .errors import DimensionOutOfRangeError, InputError, InvalidAlphaError, InvalidParameterError
-from .errors import FullySymmetricError, IdentityMetricUnsupportedError, UnsupportedDimensionError
+from .errors import AnalysisError, InputError
 from .matched import build_matched
 from .svg import render_svg_plot
 from .table import ContingencyTable
@@ -46,12 +45,14 @@ class AnalysisConfig:
     config is built. Building a config also checks that ``alpha`` is a
     normal double in (0, 1), that ``dims`` are two distinct integers >= 1 (their
     upper bound depends on the table), and that ``metric``,
-    ``output_format`` and ``plot_axes`` are among their choices.
+    ``output_format`` and ``plot_axes`` are among their choices. ``metric``
+    None means the command's own default: averaged for ``run_analyze``,
+    identity for ``run_matched``; each records the metric it used.
     """
 
     lam: float = 1.0
     alpha: float = 0.05
-    metric: str = "averaged"
+    metric: str | None = None
     output_format: str = "json"
     svg_path: str | None = None
     dims: tuple[int, int] = (1, 2)
@@ -60,22 +61,22 @@ class AnalysisConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lam", resolve_lambda(self.lam))
         if not (isinstance(self.alpha, numbers.Real) and sys.float_info.min <= self.alpha < 1.0):
-            raise InvalidAlphaError(f"alpha must be a normal double in (0, 1), got {self.alpha}")
+            raise InputError(f"alpha must be a normal double in (0, 1), got {self.alpha}")
         if len(self.dims) != 2 or self.dims[0] == self.dims[1] or not all(
             isinstance(d, numbers.Integral) and d >= 1 for d in self.dims
         ):
-            raise DimensionOutOfRangeError(
+            raise InputError(
                 f"plot dimensions must be two distinct integers >= 1, got {self.dims}"
             )
         object.__setattr__(self, "dims", (int(self.dims[0]), int(self.dims[1])))
         if self.plot_axes not in PLOT_AXES:
-            raise InvalidParameterError(
+            raise InputError(
                 f"axes must be rows, columns, or both, got {self.plot_axes!r}"
             )
-        if self.metric not in METRICS:
-            raise InvalidParameterError(f"metric must be averaged or identity, got {self.metric!r}")
+        if self.metric is not None and self.metric not in METRICS:
+            raise InputError(f"metric must be averaged or identity, got {self.metric!r}")
         if self.output_format not in OUTPUT_FORMATS:
-            raise InvalidParameterError(f"format must be json or csv, got {self.output_format!r}")
+            raise InputError(f"format must be json or csv, got {self.output_format!r}")
 
 
 def resolve_lambda(value: str | float) -> float:
@@ -357,7 +358,7 @@ def _plot_svg(
     d1, d2 = config.dims
     for d in config.dims:
         if d > rows.shape[1]:
-            raise DimensionOutOfRangeError(f"dimension {d} out of range 1..{rows.shape[1]}")
+            raise InputError(f"dimension {d} out of range 1..{rows.shape[1]}")
     shown = [
         (axis, coords, suffix)
         for axis, coords, suffix in (("row", rows, ""), ("column", cols, "'"))
@@ -382,10 +383,12 @@ def _plot_svg(
 def run_analyze(config: AnalysisConfig, table: ContingencyTable) -> AnalysisReport:
     """Full single-table pipeline: test, measure, decomposition, regions.
 
-    Confidence regions are skipped with a warning (never an error) for 2x2
-    tables, identity-metric runs, and fully symmetric tables. Any core
-    error aborts the whole report.
+    Every ``AnalysisError`` of ``confidence_regions`` is a reason the circles
+    are undefined: a fully symmetric table, a 2x2 table, or the identity
+    metric. The circles are then skipped with a warning; any other error
+    aborts the whole report.
     """
+    config = replace(config, metric=config.metric or "averaged")
     warnings: list[str] = []
     bowker = _bowker_dict(table)
     profile = asymmetry_measure(table, config.lam)
@@ -403,7 +406,7 @@ def run_analyze(config: AnalysisConfig, table: ContingencyTable) -> AnalysisRepo
     regions: list[ConfidenceRegion] | None = None
     try:
         regions = confidence_regions(dec, table, profile, config.alpha)
-    except (FullySymmetricError, UnsupportedDimensionError, IdentityMetricUnsupportedError) as exc:
+    except AnalysisError as exc:
         warnings.append(f"confidence regions skipped: {exc}")
 
     report = AnalysisReport(
@@ -455,6 +458,7 @@ def run_matched(
     config: AnalysisConfig, t1: ContingencyTable, t2: ContingencyTable
 ) -> AnalysisReport:
     """Matched-pair pipeline: component SVDs, their merged block values, coordinates."""
+    config = replace(config, metric=config.metric or "identity")
     analysis = build_matched(t1, t2, config.lam, config.metric)
     block_values = np.array([cls.singular_value for cls in analysis.dim_classes])
     total_inertia = float(np.sum(block_values ** 2))

@@ -8,16 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    CountOverflowError,
-    DuplicateLabelError,
-    EmptyTableError,
-    InvalidParameterError,
-    LabelCountMismatchError,
-    NegativeEntryError,
-    NonIntegerCountError,
-    NonSquareError,
-)
+from .errors import InputError
 
 
 # Counts are stored as int64; a count or a total above this is rejected.
@@ -34,17 +25,17 @@ def _count_array(counts) -> np.ndarray:
     try:
         arr = np.asarray(counts)
     except ValueError as exc:  # ragged nested sequences
-        raise NonSquareError(f"counts must be a square matrix: {exc}") from None
-    if arr.dtype.kind in "iu" or arr.size == 0:  # an empty matrix fails the shape check
-        return arr
-    if arr.dtype.kind == "O" or not isinstance(counts, np.ndarray):
-        # numpy infers float64 or object for Python ints that int64 cannot hold
-        exact = np.array(counts, dtype=object)
-        if exact.size and all(
-            isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in exact.flat
-        ):
-            return exact
-    raise NonIntegerCountError(f"counts must be integers, got dtype {arr.dtype}")
+        raise InputError(f"counts must be a square matrix: {exc}") from None
+    if arr.size == 0 or isinstance(counts, np.ndarray) and arr.dtype.kind in "iu":
+        return arr  # an empty matrix fails the shape check
+    # anything else goes cell by cell: numpy reads [True, 1] as int64, and infers float64
+    # or object for Python ints that int64 cannot hold
+    exact = np.array(counts, dtype=object)
+    if exact.ndim == 2:  # any other shape fails the shape check
+        for cell, x in np.ndenumerate(exact):
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                raise InputError(f"counts must be integers, got {x!r} at cell {cell}")
+    return exact
 
 
 @dataclass(frozen=True)
@@ -121,9 +112,9 @@ class ContingencyTable:
     def scaled(self, k: int) -> "ContingencyTable":
         """Return a copy with every count multiplied by the positive integer k."""
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-            raise InvalidParameterError(f"scale factor must be a positive integer, got {k!r}")
+            raise InputError(f"scale factor must be a positive integer, got {k!r}")
         if self.n * int(k) > INT64_MAX:
-            raise CountOverflowError(f"total count {self.n} * {k} does not fit in int64")
+            raise InputError(f"total count {self.n} * {k} does not fit in int64")
         return validate_table(self.labels, self.counts * int(k))
 
 
@@ -131,41 +122,38 @@ def validate_table(labels: Sequence[str], counts) -> ContingencyTable:
     """Validate labels and counts and build a ContingencyTable.
 
     Raises:
-        NonSquareError: counts is not a square matrix or has fewer than
-            two categories.
-        NegativeEntryError: some count is negative.
-        CountOverflowError: some count or the total exceeds 2**63 - 1.
-        EmptyTableError: all counts are zero.
-        DuplicateLabelError: labels repeat.
-        LabelCountMismatchError: label count differs from the matrix size.
+        InputError: counts is not a square matrix of integers with at least
+            two categories, a count is negative, a count or the total exceeds
+            2**63 - 1, all counts are zero, labels repeat, or the label count
+            differs from the matrix size.
     """
     arr = _count_array(counts)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
-        raise NonSquareError(f"counts must be a square matrix with R >= 2, got shape {arr.shape}")
+        raise InputError(f"counts must be a square matrix with R >= 2, got shape {arr.shape}")
     size = arr.shape[0]
     if np.any(arr < 0):
         i, j = np.argwhere(arr < 0)[0]
-        raise NegativeEntryError(f"negative count {arr[i, j]} at cell ({i}, {j})")
+        raise InputError(f"negative count {arr[i, j]} at cell ({i}, {j})")
     if arr.dtype.kind != "i" and arr.max() > INT64_MAX:
         i, j = np.argwhere(arr > INT64_MAX)[0]
-        raise CountOverflowError(f"count {arr[i, j]} at cell ({i}, {j}) does not fit in int64")
+        raise InputError(f"count {arr[i, j]} at cell ({i}, {j}) does not fit in int64")
     arr = arr.astype(np.int64)
     labels = tuple(str(lab) for lab in labels)
     if len(labels) != size:
-        raise LabelCountMismatchError(f"{len(labels)} labels for a {size}x{size} table")
+        raise InputError(f"{len(labels)} labels for a {size}x{size} table")
     seen: set[str] = set()
     for lab in labels:
         if lab in seen:
-            raise DuplicateLabelError(f"duplicate label {lab!r}")
+            raise InputError(f"duplicate label {lab!r}")
         seen.add(lab)
     if arr.max() <= INT64_MAX // arr.size:
         total = int(arr.sum())  # cannot wrap
     else:
         total = sum(arr.ravel().tolist())
         if total > INT64_MAX:
-            raise CountOverflowError(f"total count {total} does not fit in int64")
+            raise InputError(f"total count {total} does not fit in int64")
     if total < 1:
-        raise EmptyTableError("table has no observations")
+        raise InputError("table has no observations")
     upper = upper_triangle(size)
     above = arr[upper]
     below = arr.T[upper]
@@ -175,5 +163,5 @@ def validate_table(labels: Sequence[str], counts) -> ContingencyTable:
 
 def to_probabilities(t: ContingencyTable) -> ContingencyTable:
     """Return ``t``, which carries its probabilities ``p`` and off-diagonal mass ``delta``;
-    kept so that code that converts a table before the analysis still runs."""
+    kept for its two callers, ``benchmarks/worker.py`` and ``benchmarks/test_bench.py``."""
     return t

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, LabelOrderMismatchError, MalformedCsvError
+from .errors import InputError
 from .table import INT64_MAX, ContingencyTable, validate_table
 
 _INT_RE = re.compile(r"^[+]?\d+$")
@@ -44,12 +44,12 @@ _CANONICAL_ROW_RE = re.compile(r"\+?[0-9]{1,18}(?:,\+?[0-9]{1,18})*")
 def _cell_to_count(cell: str, row_label: str, col_label: str) -> int:
     text = cell.strip()
     if not _INT_RE.match(text):
-        raise MalformedCsvError(
+        raise InputError(
             f"cell ({row_label!r}, {col_label!r}) is not a non-negative integer: {text!r}"
         )
     value = int(text)
     if value > INT64_MAX:
-        raise MalformedCsvError(
+        raise InputError(
             f"cell ({row_label!r}, {col_label!r}) does not fit in a 64-bit count: {text!r}"
         )
     return value
@@ -60,23 +60,23 @@ def parse_table_csv(text: str) -> ContingencyTable:
     try:
         rows = [row for row in csv.reader(io.StringIO(text)) if any(cell.strip() for cell in row)]
     except csv.Error as exc:
-        raise MalformedCsvError(f"unreadable CSV: {exc}") from None
+        raise InputError(f"unreadable CSV: {exc}") from None
     if not rows:
-        raise MalformedCsvError("empty input")
+        raise InputError("empty input")
     header = [cell.strip() for cell in rows[0]]
     if header and header[0] == "":
         header = header[1:]
     size = len(header)
     data_rows = rows[1:]
     if len(data_rows) != size:
-        raise MalformedCsvError(f"expected {size} data rows, found {len(data_rows)}")
+        raise InputError(f"expected {size} data rows, found {len(data_rows)}")
     labels: list[str] = []
     # rows are stacked at the end rather than written into an R x R buffer made up
     # front, so a long header over short rows cannot claim memory the input lacks
     counts: list = []
     for r, row in enumerate(data_rows):
         if len(row) != size + 1:
-            raise MalformedCsvError(
+            raise InputError(
                 f"row {r + 2} holds {len(row)} cells, expected label + {size} counts"
             )
         label = row[0].strip()
@@ -87,7 +87,7 @@ def parse_table_csv(text: str) -> ContingencyTable:
         else:
             counts.append([_cell_to_count(row[j + 1], label, header[j]) for j in range(size)])
     if labels != header:
-        raise LabelOrderMismatchError(
+        raise InputError(
             f"row labels {labels} do not match column labels {header} in order"
         )
     return validate_table(labels, np.array(counts, dtype=np.int64))
@@ -99,21 +99,15 @@ def parse_table_json(text: str) -> ContingencyTable:
     try:
         body = json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise MalformedCsvError(f"invalid JSON table: {exc}") from None
+        raise InputError(f"invalid JSON table: {exc}") from None
     if not isinstance(body, dict) or "labels" not in body or "counts" not in body:
-        raise MalformedCsvError('JSON table requires "labels" and "counts" fields')
-    counts = body["counts"]
-    if not isinstance(counts, list) or not all(
-        isinstance(row, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in row)
-        for row in counts
-    ):
-        raise MalformedCsvError('"counts" must be a matrix of integers')
+        raise InputError('JSON table requires "labels" and "counts" fields')
     labels = body["labels"]
     if not isinstance(labels, list) or not all(
         isinstance(x, (str, int, float)) and not isinstance(x, bool) for x in labels
     ):
-        raise MalformedCsvError('"labels" must be a list of strings or numbers')
-    return validate_table([str(x) for x in labels], counts)
+        raise InputError('"labels" must be a list of strings or numbers')
+    return validate_table([str(x) for x in labels], body["counts"])
 
 
 def read_text(path: str | Path) -> str:

@@ -39,7 +39,7 @@ from skewca.divergence import (
     bowker_statistic,
     power_divergence_scale,
 )
-from skewca.table import to_probabilities, validate_table
+from skewca.table import validate_table
 
 NAMED_LAMBDAS = (-0.5, 0.0, 2.0 / 3.0, 1.0)
 THEOREM_LAMBDAS = (-0.9, -0.5, 0.0, 0.5, 2.0 / 3.0, 1.0, 2.0)
@@ -81,12 +81,11 @@ def test_criterion_2_theorem_properties():
     tables = corpus()
     checked = 0
     for t in tables:
-        p = to_probabilities(t)
-        mat = np.asarray(p.p)
-        sym = to_probabilities(symmetrized(t))
-        lop = to_probabilities(one_sided(t))
+        mat = np.asarray(t.p)
+        sym = symmetrized(t)
+        lop = one_sided(t)
         for lam in THEOREM_LAMBDAS:
-            phi = asymmetry_measure(p, lam).phi_total
+            phi = asymmetry_measure(t, lam).phi_total
             assert 0.0 <= phi <= 1.0
             assert asymmetry_measure(sym, lam).phi_total == 0.0
             assert abs(asymmetry_measure(lop, lam).phi_total - 1.0) <= 1e-12
@@ -107,10 +106,9 @@ def test_criterion_3_decomposition_identities():
     tables = corpus()
     worst = 0.0
     for t in tables:
-        p = to_probabilities(t)
         for lam in THEOREM_LAMBDAS:
-            s = skew_matrix(p, lam)
-            dec = decompose(s, p)
+            s = skew_matrix(t, lam)
+            dec = decompose(s, t)
             phi = float(np.sum(np.asarray(s) ** 2))
             mu = dec.singular_values
             metric = np.diag(1.0 / dec.metric_weights**2)
@@ -147,20 +145,18 @@ def test_criterion_4_2x2_analytic_oracle():
     for a in range(1, 21):
         for b in range(1, 21):
             t = validate_table(["x", "y"], [[0, a], [b, 0]])
-            p = to_probabilities(t)
-            phi = asymmetry_measure(p, 1.0).phi_total
+            phi = asymmetry_measure(t, 1.0).phi_total
             expected = ((a - b) / (a + b)) ** 2
             worst_phi = max(worst_phi, abs(phi - expected))
-            dec = decompose(skew_matrix(p, 1.0), p)
+            dec = decompose(skew_matrix(t, 1.0), t)
             rows, cols = origin_distances(dec), np.linalg.norm(dec.col_coords, axis=1)
             # both distances equal sqrt(phi); concretely 0.5 for a=3, b=1
             for d in (*rows, *cols):
                 worst_dist = max(worst_dist, abs(d - math.sqrt(expected)))
-            oracle_dist = oracle_origin_distances(np.asarray(p.p), 1.0)
+            oracle_dist = oracle_origin_distances(np.asarray(t.p), 1.0)
             assert np.abs(rows - oracle_dist).max() < 1e-12
     t31 = validate_table(["x", "y"], [[0, 3], [1, 0]])
-    p31 = to_probabilities(t31)
-    dec31 = decompose(skew_matrix(p31, 1.0), p31)
+    dec31 = decompose(skew_matrix(t31, 1.0), t31)
     d31 = origin_distances(dec31)
     ok = worst_phi <= 1e-12 and worst_dist <= 1e-12 and np.allclose(d31, 0.5, atol=1e-12)
     record_criterion(
@@ -177,9 +173,8 @@ def test_criterion_5_sample_size_invariance(coffee, rng):
     worst_inv = 0.0
     worst_radius = 0.0
     for t in tables:
-        p1 = to_probabilities(t)
-        prof1 = asymmetry_measure(p1, 1.0)
-        dec1 = decompose(skew_matrix(p1, 1.0), p1)
+        prof1 = asymmetry_measure(t, 1.0)
+        dec1 = decompose(skew_matrix(t, 1.0), t)
         regions1 = (
             confidence_regions(dec1, t, prof1, 0.05)
             if t.size >= 3 and not dec1.fully_symmetric
@@ -187,9 +182,8 @@ def test_criterion_5_sample_size_invariance(coffee, rng):
         )
         for k in (2, 10, 100):
             tk = t.scaled(k)
-            pk = to_probabilities(tk)
-            profk = asymmetry_measure(pk, 1.0)
-            deck = decompose(skew_matrix(pk, 1.0), pk)
+            profk = asymmetry_measure(tk, 1.0)
+            deck = decompose(skew_matrix(tk, 1.0), tk)
             worst_inv = max(
                 worst_inv,
                 abs(prof1.phi_total - profk.phi_total),
@@ -216,8 +210,7 @@ def test_criterion_6_coffee_qualitative(coffee):
     from scipy import stats as scipy_stats
 
     labels = coffee.labels
-    p = to_probabilities(coffee)
-    mat = np.asarray(p.p)
+    mat = np.asarray(coffee.p)
     n = coffee.n
     times = []
     for lam in NAMED_LAMBDAS:
@@ -243,8 +236,8 @@ def test_criterion_6_coffee_qualitative(coffee):
             return math.degrees(math.acos(max(-1.0, min(1.0, c))))
 
         # ---- implementation
-        profile = asymmetry_measure(p, lam)
-        dec = decompose(skew_matrix(p, lam), p)
+        profile = asymmetry_measure(coffee, lam)
+        dec = decompose(skew_matrix(coffee, lam), coffee)
         regions = [
             r for r in confidence_regions(dec, coffee, profile, 0.05) if r.axis == "row"
         ]
@@ -370,10 +363,9 @@ def test_criterion_9_region_coverage():
         ["a", "b", "c", "d"],
         [[50, 20, 5, 8], [5, 60, 18, 4], [12, 4, 70, 15], [2, 12, 6, 40]],
     )
-    p_truth = to_probabilities(truth)
-    dec_truth = decompose(skew_matrix(p_truth, 1.0), p_truth)
+    dec_truth = decompose(skew_matrix(truth, 1.0), truth)
     target = dec_truth.row_coords[:, :2]
-    flat = np.asarray(p_truth.p).ravel()
+    flat = np.asarray(truth.p).ravel()
     rng = np.random.default_rng(7041776)
     samples = 500
     n = 2000
@@ -382,9 +374,8 @@ def test_criterion_9_region_coverage():
     for _ in range(samples):
         counts = rng.multinomial(n, flat).reshape(4, 4)
         t = validate_table(truth.labels, counts)
-        p = to_probabilities(t)
-        profile = asymmetry_measure(p, 1.0)
-        dec = decompose(skew_matrix(p, 1.0), p)
+        profile = asymmetry_measure(t, 1.0)
+        dec = decompose(skew_matrix(t, 1.0), t)
         if dec.fully_symmetric:
             continue
         regions = [

@@ -10,10 +10,10 @@ import pytest
 
 import skewca
 from conftest import COUNTS_UNDERFLOWING, DATA, abc_csv
-from skewca import cli
+from skewca import AnalysisConfig, cli, divergence, run_analyze, run_matched
 from skewca.cli import main
 from skewca.decomposition import default_lambda_grid
-from skewca.errors import InputError, InvalidAlphaError
+from skewca.errors import InputError
 
 COFFEE_CSV = """,HP,TC,SA,NE,BR
 HP,93,17,44,7,10
@@ -367,6 +367,55 @@ def test_exit_code_1_with_traceback_for_a_library_bug(capsys, coffee_csv, monkey
     assert done.stderr.rstrip().endswith("ValueError: internal bug")
 
 
+def test_exit_code_1_with_traceback_for_a_failed_definition_check(coffee_csv, monkeypatch):
+    # the kernel's cross-check against the definition fails only on a numerical defect,
+    # so it is a bug, never exit 3
+    series = divergence._series
+    monkeypatch.setattr(divergence, "_series", lambda *args: 2.0 * series(*args))
+    with pytest.raises(AssertionError, match="asymmetry measure mismatch between definitions at lam=1.0"):
+        main(["analyze", str(coffee_csv)])
+    script = (
+        "import sys\n"
+        "from skewca import cli, divergence\n"
+        "series = divergence._series\n"
+        "divergence._series = lambda *args: 2.0 * series(*args)\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    src = str(Path(skewca.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", script, "analyze", str(coffee_csv)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "Traceback" in done.stderr
+    last = done.stderr.rstrip().splitlines()[-1]
+    assert last.startswith("AssertionError: asymmetry measure mismatch between definitions at lam=1.0: ")
+
+
+def test_library_and_cli_reports_agree_on_each_default_metric(capsys, coffee, opinions):
+    # a config without a metric means the command's own default, on the command line and
+    # in the library alike: averaged for analyze, identity for matched
+    pair = [str(DATA / f"opinions_{group}.csv") for group in ("teens", "adults")]
+    code, out, err = run_cli(capsys, "matched", *pair)
+    assert code == 0, err
+    assert out == run_matched(AnalysisConfig(), *opinions).to_json()
+    report = json.loads(out)
+    assert report["config"]["metric"] == report["matched"]["metric"] == "identity"
+    code, out, err = run_cli(capsys, "analyze", str(DATA / "coffee.csv"))
+    assert code == 0, err
+    assert out == run_analyze(AnalysisConfig(), coffee).to_json()
+    report = json.loads(out)
+    assert report["config"]["metric"] == report["decomposition"]["metric"] == "averaged"
+    # scan and bowker read no metric, so they record it only as given
+    for argv, metric in ((("scan",), None), (("bowker",), None), (("scan", "--metric", "identity"), "identity")):
+        code, out, err = run_cli(capsys, argv[0], str(DATA / "coffee.csv"), *argv[1:])
+        assert code == 0, err
+        assert json.loads(out)["config"]["metric"] == metric
+
+
 def test_exit_code_2_for_bad_lambda(capsys, coffee_csv):
     code, _, err = run_cli(capsys, "analyze", str(coffee_csv), "--lambda", "-2")
     assert code == 2
@@ -526,7 +575,7 @@ def test_exit_code_2_for_alpha_outside_unit_interval(capsys, coffee_csv, tmp_pat
     for alpha in ("7", "0", "1", "-0.1", "nan", "5e-324", "1e-315"):
         for path, extra in ((coffee_csv, ()), (coffee_csv, ("--metric", "identity")), (sym, ())):
             argv = ["analyze", str(path), "--alpha", alpha, *extra]
-            with pytest.raises(InvalidAlphaError):
+            with pytest.raises(InputError, match=r"alpha must be a normal double in \(0, 1\), got"):
                 cli._build_config(cli._build_parser().parse_args(argv))
             code, out, err = run_cli(capsys, *argv)
             assert code == 2, argv
@@ -538,7 +587,7 @@ def test_exit_code_2_for_non_numeric_config_alpha(capsys, coffee_csv, tmp_path):
     cfg = tmp_path / "alpha.cfg"
     cfg.write_text("alpha=abc\n", encoding="utf-8")
     argv = ["analyze", str(coffee_csv), "--config", str(cfg)]
-    with pytest.raises(InvalidAlphaError, match="number"):
+    with pytest.raises(InputError, match="alpha must be a number, got 'abc'"):
         cli._build_config(cli._build_parser().parse_args(argv))
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

@@ -33,14 +33,9 @@ from skewca.decomposition import (
     skew_matrix,
 )
 from skewca.divergence import asymmetry_measure
-from skewca.errors import (
-    DegenerateTableError,
-    FullySymmetricError,
-    InvalidParameterError,
-    LambdaOutOfRangeError,
-)
+from skewca.errors import AnalysisError, InputError
 from skewca.reporting import AnalysisConfig, run_scan
-from skewca.table import to_probabilities, validate_table
+from skewca.table import validate_table
 
 
 def table22(a, b):
@@ -56,17 +51,17 @@ def random_skew(rng, size):
 
 
 def test_symmetric_table_gives_zero_matrix():
-    p = to_probabilities(validate_table(["a", "b"], [[1, 2], [2, 1]]))
+    p = validate_table(["a", "b"], [[1, 2], [2, 1]])
     s = skew_matrix(p, 1.0)
     assert np.all(s == 0.0)
 
 
 def test_2x2_signed_root():
-    p = to_probabilities(table22(3, 1))
+    p = table22(3, 1)
     s = skew_matrix(p, 1.0)
     assert s[0, 1] == pytest.approx(math.sqrt(0.125), abs=1e-15)
     assert s[1, 0] == -s[0, 1]
-    flipped = skew_matrix(to_probabilities(table22(1, 3)), 1.0)
+    flipped = skew_matrix(table22(1, 3), 1.0)
     assert flipped[0, 1] == pytest.approx(-math.sqrt(0.125), abs=1e-15)
 
 
@@ -75,10 +70,9 @@ def test_skew_from_profile_equals_skew_matrix(coffee, rng):
     tables.append(validate_table(["a", "b", "c"], [[0, 3, 0], [1, 0, 0], [0, 0, 1]]))
     tables += [random_table(rng, int(rng.integers(2, 8))) for _ in range(10)]
     for t in tables:
-        p = to_probabilities(t)
         for lam in (-0.5, 0.0, 1.0, 100.0):
-            via_profile = skew_from_profile(p, asymmetry_measure(p, lam))
-            direct = skew_matrix(p, lam)
+            via_profile = skew_from_profile(t, asymmetry_measure(t, lam))
+            direct = skew_matrix(t, lam)
             assert np.array_equal(via_profile, direct)
             assert not via_profile.flags.writeable
             # every zero is +0.0: the diagonal, equal or empty pairs, and (at lam = 100)
@@ -87,18 +81,17 @@ def test_skew_from_profile_equals_skew_matrix(coffee, rng):
 
 
 def test_skew_matches_oracle_and_reconstructs_measure(coffee, rng):
-    p = to_probabilities(coffee)
     for lam in (-0.5, 0.0, 1.0, 2.0):
-        s = skew_matrix(p, lam)
-        assert np.allclose(s, oracle_skew(np.asarray(p.p), lam), atol=1e-13)
+        s = skew_matrix(coffee, lam)
+        assert np.allclose(s, oracle_skew(np.asarray(coffee.p), lam), atol=1e-13)
         assert np.array_equal(s, -s.T)
-        phi = oracle_phi_total(np.asarray(p.p), lam)
+        phi = oracle_phi_total(np.asarray(coffee.p), lam)
         assert float(np.sum(s**2)) == pytest.approx(phi, abs=1e-12)
 
 
 def test_lambda_errors_propagate():
-    p = to_probabilities(table22(3, 1))
-    with pytest.raises(LambdaOutOfRangeError):
+    p = table22(3, 1)
+    with pytest.raises(InputError, match="lam must be a finite number > -1, got -1.5"):
         skew_matrix(p, -1.5)
 
 
@@ -127,8 +120,7 @@ def test_paired_svd_invariants_on_random_matrices(rng):
 def test_reconstruction_on_large_random_tables(rng):
     for size in (10, 17, 25):
         t = random_table(rng, size, high=50)
-        p = to_probabilities(t)
-        s = skew_matrix(p, 1.0)
+        s = skew_matrix(t, 1.0)
         svd = paired_svd(np.asarray(s, dtype=float))
         assert np.abs(oracle_reconstruct(svd) - s).max() < 1e-10
         assert float(np.sum(svd.singular_values**2)) == pytest.approx(
@@ -256,8 +248,7 @@ def test_right_vectors_are_the_rotation_product_bit_for_bit(rng):
     lefts = [np.array([[-0.0, -0.0, 1.0, -2.0], [0.0, -3.0, -0.0, 0.0], [-1.0, -0.0, -0.0, -0.0]])]
     cyclic = validate_table(list("abcde"), 7 * np.roll(np.eye(5, dtype=int), 1, axis=1))
     for t in [cyclic] + [random_table(rng, int(rng.integers(3, 9))) for _ in range(10)]:
-        p = to_probabilities(t)
-        lefts.append(decompose(skew_matrix(p, 1.0), p).left_vectors)
+        lefts.append(decompose(skew_matrix(t, 1.0), t).left_vectors)
     for left in lefts:
         right = PairedSVD(left_vectors=left, singular_values=np.zeros(left.shape[1])).right_vectors
         product = left @ oracle_block_rotation(left.shape[1]).T
@@ -270,8 +261,7 @@ def test_right_vectors_are_the_rotation_product_bit_for_bit(rng):
 
 def test_fully_symmetric_flagged_zero_decomposition():
     t = validate_table(["a", "b", "c"], [[1, 2, 3], [2, 5, 1], [3, 1, 4]])
-    p = to_probabilities(t)
-    dec = decompose(skew_matrix(p, 1.0), p)
+    dec = decompose(skew_matrix(t, 1.0), t)
     assert dec.fully_symmetric
     assert dec.total_inertia == 0.0
     assert np.all(dec.row_coords == 0.0)
@@ -280,7 +270,7 @@ def test_fully_symmetric_flagged_zero_decomposition():
 
 
 def test_2x2_origin_distance_is_half():
-    p = to_probabilities(table22(3, 1))
+    p = table22(3, 1)
     dec = decompose(skew_matrix(p, 1.0), p)
     assert np.allclose(dec.metric_weights, math.sqrt(2.0))
     assert dec.singular_values[0] == pytest.approx(math.sqrt(0.125), abs=1e-14)
@@ -293,8 +283,7 @@ def test_2x2_origin_distance_is_half():
 
 def test_odd_table_drops_null_dimension(rng):
     t = random_table(rng, 5)
-    p = to_probabilities(t)
-    dec = decompose(skew_matrix(p, 1.0), p)
+    dec = decompose(skew_matrix(t, 1.0), t)
     assert dec.n_dims == 4
     vals = dec.singular_values
     assert vals[0] == vals[1] >= vals[2] == vals[3]
@@ -303,10 +292,9 @@ def test_odd_table_drops_null_dimension(rng):
 def test_decomposition_identities(coffee, rng):
     tables = [coffee] + [random_table(rng, int(rng.integers(3, 7))) for _ in range(8)]
     for t in tables:
-        p = to_probabilities(t)
         for lam in (-0.5, 0.0, 1.0):
-            s = skew_matrix(p, lam)
-            dec = decompose(s, p)
+            s = skew_matrix(t, lam)
+            dec = decompose(s, t)
             phi = float(np.sum(np.asarray(s) ** 2))
             mu = dec.singular_values
             left, right = dec.left_vectors, dec.right_vectors
@@ -337,11 +325,10 @@ def test_decomposition_identities(coffee, rng):
 def test_origin_distances_match_oracle(coffee, rng):
     tables = [coffee] + [random_table(rng, int(rng.integers(2, 7))) for _ in range(10)]
     for t in tables:
-        p = to_probabilities(t)
         for lam in (-0.5, 0.5, 1.0):
-            dec = decompose(skew_matrix(p, lam), p)
+            dec = decompose(skew_matrix(t, lam), t)
             distances = origin_distances(dec)
-            expected = oracle_origin_distances(np.asarray(p.p), lam)
+            expected = oracle_origin_distances(np.asarray(t.p), lam)
             assert np.abs(distances - expected).max() < 1e-10
             # a quarter turn keeps distances: the column points lie as far out, to rounding
             cols = np.linalg.norm(dec.col_coords, axis=1)
@@ -351,8 +338,7 @@ def test_origin_distances_match_oracle(coffee, rng):
 def test_origin_distance_zero_iff_row_symmetric():
     # category c is symmetric against everyone else, a and b are not
     t = validate_table(["a", "b", "c"], [[0, 3, 1], [1, 0, 1], [1, 1, 0]])
-    p = to_probabilities(t)
-    dec = decompose(skew_matrix(p, 1.0), p)
+    dec = decompose(skew_matrix(t, 1.0), t)
     rows, cols = origin_distances(dec), np.linalg.norm(dec.col_coords, axis=1)
     assert rows[2] < 1e-14 and cols[2] < 1e-14
     assert rows[0] > 1e-3 and rows[1] > 1e-3
@@ -360,8 +346,7 @@ def test_origin_distance_zero_iff_row_symmetric():
 
 def test_category_with_no_observations_sits_at_origin():
     t = validate_table(["a", "b", "c"], [[0, 3, 0], [1, 4, 0], [0, 0, 0]])
-    p = to_probabilities(t)
-    dec = decompose(skew_matrix(p, 1.0), p)
+    dec = decompose(skew_matrix(t, 1.0), t)
     assert np.all(np.isfinite(dec.row_coords))
     rows, cols = origin_distances(dec), np.linalg.norm(dec.col_coords, axis=1)
     assert rows[2] == 0.0 and cols[2] == 0.0
@@ -370,18 +355,16 @@ def test_category_with_no_observations_sits_at_origin():
 
 def test_plane_geometry_matches_lapack_oracle(coffee):
     # gauge-invariant comparison: pairwise dot products of dims 1-2 points
-    p = to_probabilities(coffee)
-    dec = decompose(skew_matrix(p, 1.0), p)
+    dec = decompose(skew_matrix(coffee, 1.0), coffee)
     mine = dec.row_coords[:, :2]
-    oracle = oracle_plane_coords(np.asarray(p.p), 1.0)
+    oracle = oracle_plane_coords(np.asarray(coffee.p), 1.0)
     assert np.abs(mine @ mine.T - oracle @ oracle.T).max() < 1e-10
 
 
 def test_count_scaling_invariance(coffee):
-    p1 = to_probabilities(coffee)
-    dec1 = decompose(skew_matrix(p1, 1.0), p1)
+    dec1 = decompose(skew_matrix(coffee, 1.0), coffee)
     for k in (2, 10, 100):
-        p2 = to_probabilities(coffee.scaled(k))
+        p2 = coffee.scaled(k)
         dec2 = decompose(skew_matrix(p2, 1.0), p2)
         assert np.abs(dec1.singular_values - dec2.singular_values).max() < 1e-12
         assert np.abs(dec1.row_coords - dec2.row_coords).max() < 1e-12
@@ -391,28 +374,26 @@ def test_count_scaling_invariance(coffee):
 
 
 def test_decompose_is_deterministic(coffee):
-    p = to_probabilities(coffee)
-    dec1 = decompose(skew_matrix(p, 2.0 / 3.0), p)
-    dec2 = decompose(skew_matrix(p, 2.0 / 3.0), p)
+    dec1 = decompose(skew_matrix(coffee, 2.0 / 3.0), coffee)
+    dec2 = decompose(skew_matrix(coffee, 2.0 / 3.0), coffee)
     assert np.array_equal(dec1.row_coords, dec2.row_coords)
     assert np.array_equal(dec1.singular_values, dec2.singular_values)
     assert np.array_equal(dec1.left_vectors, dec2.left_vectors)
 
 
 def test_identity_metric():
-    p = to_probabilities(table22(3, 1))
+    p = table22(3, 1)
     dec = decompose(skew_matrix(p, 1.0), p, metric="identity")
     assert np.all(dec.metric_weights == 1.0)
     rows = origin_distances(dec)
     assert np.allclose(rows, math.sqrt(0.125), atol=1e-12)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InputError, match=r"metric must be one of \('averaged', 'identity'\), got 'weird'"):
         metric_weights(p, "weird")
 
 
 def test_contribution_ratios_four_by_four(rng):
     t = random_table(rng, 4)
-    p = to_probabilities(t)
-    dec = decompose(skew_matrix(p, 1.0), p)
+    dec = decompose(skew_matrix(t, 1.0), t)
     if dec.fully_symmetric:
         return
     ratios = dec.contributions
@@ -440,7 +421,7 @@ def test_scan_2x2_returns_grid_minimum():
 
 def test_scan_symmetric_table_errors():
     t = validate_table(["a", "b"], [[1, 2], [2, 1]])
-    with pytest.raises(FullySymmetricError):
+    with pytest.raises(AnalysisError, match="fully symmetric table: the contribution profile is undefined"):
         scan_lambda(t, grid=[0.0, 1.0])
 
 
@@ -449,9 +430,8 @@ def test_scan_coffee_small_grid_matches_exhaustive(coffee):
     result = scan_lambda(coffee, grid=grid)
     # exhaustive oracle over the same grid
     best_lam, best_c = None, -1.0
-    p = to_probabilities(coffee)
     for lam in grid:
-        dec = decompose(skew_matrix(p, lam), p)
+        dec = decompose(skew_matrix(coffee, lam), coffee)
         c = float(dec.contributions[0] + dec.contributions[1])
         if c > best_c + 1e-12:
             best_lam, best_c = lam, c
@@ -469,30 +449,29 @@ def test_default_grid_shape():
 
 
 def test_scan_rejects_bad_grid(coffee, monkeypatch):
-    with pytest.raises(LambdaOutOfRangeError):
+    with pytest.raises(InputError, match="lam must be a finite number > -1, got -1.5"):
         scan_lambda(coffee, grid=[-1.5, 0.0])
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InputError, match="empty lambda grid"):
         scan_lambda(coffee, grid=[])
     # the grid is checked before any chunk, so a symmetric first chunk
     # cannot report its own error ahead of a bad point further on
     monkeypatch.setattr(decomposition, "SCAN_CHUNK_CELLS", 1)
     symmetric = validate_table(["a", "b", "c"], [[1, 2, 3], [2, 1, 4], [3, 4, 1]])
     for bad in (math.nan, math.inf, -1.0):
-        with pytest.raises(LambdaOutOfRangeError):
+        with pytest.raises(InputError, match=f"lam must be a finite number > -1, got {float(bad)}"):
             scan_lambda(symmetric, grid=[1.0, bad])
 
 
 def per_point_scan(t, grid, metric="averaged"):
     """Contributions and inertias from a full decomposition at every grid point,
     and the measure Phi there."""
-    p = to_probabilities(t)
     contribs, inertias, measures = [], [], []
     for lam in grid:
-        dec = decompose(skew_matrix(p, float(lam)), p, metric)
+        dec = decompose(skew_matrix(t, float(lam)), t, metric)
         ratios = dec.contributions
         contribs.append(float(ratios[0] + ratios[1]))
         inertias.append(dec.total_inertia)
-        measures.append(asymmetry_measure(p, float(lam)).phi_total)
+        measures.append(asymmetry_measure(t, float(lam)).phi_total)
     return np.array(contribs), np.array(inertias), np.array(measures)
 
 
@@ -544,37 +523,35 @@ def test_scan_contributions_ignore_the_metric(coffee):
     assert identity.scan == averaged.scan
     # the report still records the metric, and the config still checks it
     assert identity.config["metric"] == "identity"
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InputError, match="metric must be averaged or identity, got 'euclidean'"):
         AnalysisConfig(metric="euclidean")
 
 
 def test_scan_errors_on_degenerate_and_overflowing_input(coffee):
-    with pytest.raises(DegenerateTableError):
+    with pytest.raises(AnalysisError, match="all mass on the diagonal: asymmetry is undefined"):
         scan_lambda(validate_table(["a", "b"], [[4, 0], [0, 3]]), grid=[1.0])
-    with pytest.raises(LambdaOutOfRangeError):
+    with pytest.raises(InputError, match="measure overflows double precision at lam=2000.0"):
         scan_lambda(coffee, grid=[1.0, 2000.0])
-    with pytest.raises(LambdaOutOfRangeError):
+    with pytest.raises(InputError, match="lam must be a finite number > -1, got nan"):
         scan_lambda(coffee, grid=[1.0, float("nan")])
 
 
 def test_skew_signs_come_from_the_exact_counts(coffee):
     # at 2^53 the pair's probabilities round to one double, its counts do not
     for t in (coffee, abc_table(COUNTS_PAST_DOUBLE_PRECISION)):
-        p = to_probabilities(t)
         sign = np.sign(t.counts - t.counts.T)
         for lam in (-0.5, 0.0, 1.0, 3.0):
-            expected = sign * np.sqrt(asymmetry_measure(p, lam).phi_cells)
-            assert np.array_equal(skew_matrix(p, lam), expected)
+            expected = sign * np.sqrt(asymmetry_measure(t, lam).phi_cells)
+            assert np.array_equal(skew_matrix(t, lam), expected)
 
 
 def test_measure_and_scan_raise_where_the_measure_underflows():
     t = abc_table(COUNTS_UNDERFLOWING)
-    p = to_probabilities(t)
-    with pytest.raises(LambdaOutOfRangeError, match="underflows double precision at lam=1000.0"):
-        asymmetry_measure(p, 1000.0)
-    with pytest.raises(LambdaOutOfRangeError, match="underflows double precision at lam=1000.0"):
+    with pytest.raises(InputError, match="measure underflows double precision at lam=1000.0"):
+        asymmetry_measure(t, 1000.0)
+    with pytest.raises(InputError, match="measure underflows double precision at lam=1000.0"):
         scan_lambda(t, grid=[700.0, 1000.0])
-    assert asymmetry_measure(p, 700.0).phi_total > 0.0
+    assert asymmetry_measure(t, 700.0).phi_total > 0.0
     assert scan_lambda(t, grid=[700.0]).inertias[0] > 0.0
     # a fully symmetric table still measures exactly 0 there
-    assert asymmetry_measure(to_probabilities(table22(3, 3)), 1000.0).phi_total == 0.0
+    assert asymmetry_measure(table22(3, 3), 1000.0).phi_total == 0.0

@@ -13,15 +13,10 @@ from conftest import (
     random_table,
 )
 from skewca import matched
-from skewca.errors import (
-    CountOverflowError,
-    DimensionMismatchError,
-    InvalidParameterError,
-    LabelMismatchError,
-)
+from skewca.errors import InputError
 from skewca.matched import build_matched
 from skewca.divergence import asymmetry_measure
-from skewca.table import to_probabilities, validate_table
+from skewca.table import validate_table
 
 # published block SVD of the opinion pair: paired singular values and the
 # duplicated/sign-flipped block pattern, reproduced at the Pearson parameter
@@ -230,10 +225,10 @@ def test_sample_size_independence(rng):
 def test_mismatch_errors(rng):
     t1 = random_table(rng, 4)
     t3 = random_table(rng, 3)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(InputError, match="table sizes differ: 4 vs 3"):
         build_matched(t1, t3, 1.0)
     relabeled = validate_table(["w", "x", "y", "z"], t1.counts)
-    with pytest.raises(LabelMismatchError):
+    with pytest.raises(InputError, match="category labels differ or are ordered differently"):
         build_matched(t1, relabeled, 1.0)
 
 
@@ -243,7 +238,7 @@ def test_build_matched_rejects_unknown_metric_before_any_eigensolve(rng, monkeyp
     monkeypatch.setattr(matched, "paired_svd", lambda s: calls.append(s) or counted(s))
     t1 = random_table(rng, 4)
     t2 = validate_table(t1.labels, random_table(rng, 4).counts)
-    with pytest.raises(InvalidParameterError, match="metric must be one of"):
+    with pytest.raises(InputError, match="metric must be one of"):
         build_matched(t1, t2, 1.0, "weird")
     assert calls == []
     # the counter sees the two component eigensolves of a valid build
@@ -316,18 +311,18 @@ def test_pooled_count_overflow_names_the_cell():
     small = validate_table(["a", "b", "c"], [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     assert build_matched(t1, small, 1.0, "averaged").sum_rows.shape == (3, 3)
     # every pooled cell fits, the pooled total does not
-    with pytest.raises(CountOverflowError, match="total count"):
+    with pytest.raises(InputError, match="total count [0-9]+ does not fit in int64"):
         build_matched(t1, t2, 1.0)
     # a pooled cell wraps past 2**63 - 1
-    with pytest.raises(CountOverflowError, match=r"pooled count 10000000000000000000 at cell \(1, 2\)"):
+    with pytest.raises(InputError, match=r"pooled count 10000000000000000000 at cell \(1, 2\)"):
         build_matched(t1, t1, 1.0)
-    with pytest.raises(CountOverflowError, match=r"at cell \(2, 1\)"):
+    with pytest.raises(InputError, match=r"pooled count [0-9]+ at cell \(2, 1\)"):
         build_matched(t2, t2, 1.0)
 
 
 def test_matched_skew_signs_come_from_the_exact_counts():
     t = abc_table(COUNTS_PAST_DOUBLE_PRECISION)
     m = build_matched(t, abc_table([[1, 2, 3], [4, 5, 6], [7, 8, 9]]), 1.0)
-    cells = asymmetry_measure(to_probabilities(t), 1.0).phi_cells
+    cells = asymmetry_measure(t, 1.0).phi_cells
     expected = np.sign(t.counts - t.counts.T) * np.sqrt(cells)
     assert np.array_equal(m.skew_first, expected)
