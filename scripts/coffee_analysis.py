@@ -10,6 +10,7 @@ the tracked out/:
     python scripts/coffee_analysis.py
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,12 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT = Path("out")
 
 
+def write_report(name: str, report) -> None:
+    """Write a report into out/ indented, so that a change to the tracked copy reads as a diff."""
+    text = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    (OUT / name).write_text(text, encoding="utf-8")
+
+
 def main() -> None:
     """Write the reports into out/ under the current directory."""
     OUT.mkdir(exist_ok=True)
@@ -29,7 +36,7 @@ def main() -> None:
     for name, lam in sorted(NAMED_DIVERGENCES.items()):
         config = AnalysisConfig(lam=lam, svg_path=(OUT / f"coffee_{name}.svg").as_posix())
         report = run_analyze(config, table)
-        (OUT / f"coffee_{name}.json").write_text(report.to_json(), encoding="utf-8")
+        write_report(f"coffee_{name}.json", report)
         dec = report.decomposition
         dists = report.coordinates["row_origin_distances"]
         closest = table.labels[int(np.argmin(dists))]
@@ -40,7 +47,7 @@ def main() -> None:
         )
 
     scan_report = run_scan(AnalysisConfig(), table)
-    (OUT / "coffee_scan.json").write_text(scan_report.to_json(), encoding="utf-8")
+    write_report("coffee_scan.json", scan_report)
     print(
         f"scan: best lam {scan_report.scan['best_lambda']:+.2f} with "
         f"{scan_report.scan['best_contribution']:.2f}% on dims 1-2"

@@ -10,6 +10,7 @@ repository root, it regenerates the tracked out/:
     python scripts/matched_opinions.py
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,9 @@ def main() -> None:
     t2 = load_table(ROOT / "data" / "opinions_adults.csv")
     config = AnalysisConfig(lam=1.0, metric="identity", svg_path=(OUT / "opinions.svg").as_posix())
     report = run_matched(config, t1, t2)
-    (OUT / "opinions_matched.json").write_text(report.to_json(), encoding="utf-8")
+    # indented, so that a change to the tracked copy reads as a diff
+    text = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    (OUT / "opinions_matched.json").write_text(text, encoding="utf-8")
 
     matched = report.matched
     values = np.array(matched["block_singular_values"])

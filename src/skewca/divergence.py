@@ -70,6 +70,8 @@ class AsymmetryProfile:
 
 
 def require_lambda(lam: float) -> float:
+    if isinstance(lam, (bool, np.bool_)):
+        raise InputError(f"lam must be a finite number > -1, got {lam}")
     lam = float(lam) + 0.0  # -0.0, the KL case, comes back as +0.0
     if not lam > -1.0 or math.isinf(lam) or math.isnan(lam):
         raise InputError(f"lam must be a finite number > -1, got {lam}")

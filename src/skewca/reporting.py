@@ -5,11 +5,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import numbers
 import sys
 from dataclasses import dataclass, fields, replace
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -63,7 +61,7 @@ class AnalysisConfig:
         if not (isinstance(self.alpha, numbers.Real) and sys.float_info.min <= self.alpha < 1.0):
             raise InputError(f"alpha must be a normal double in (0, 1), got {self.alpha}")
         if len(self.dims) != 2 or self.dims[0] == self.dims[1] or not all(
-            isinstance(d, numbers.Integral) and d >= 1 for d in self.dims
+            isinstance(d, numbers.Integral) and not isinstance(d, bool) and d >= 1 for d in self.dims
         ):
             raise InputError(
                 f"plot dimensions must be two distinct integers >= 1, got {self.dims}"
@@ -92,7 +90,7 @@ def resolve_lambda(value: str | float) -> float:
                 f"unknown divergence {value!r}: expected a number or one of "
                 f"{sorted(NAMED_DIVERGENCES)}"
             ) from None
-    return require_lambda(float(value))
+    return require_lambda(value)
 
 
 @dataclass(frozen=True)
@@ -100,9 +98,9 @@ class AnalysisReport:
     """Machine-readable result of one analysis run.
 
     ``to_json``/``from_json`` round-trip every numeric field exactly;
-    ``to_json`` writes json's exact ``indent=2, sort_keys=True`` layout and
-    renders each distinct float magnitude of the report once. ``to_csv``
-    renders a long-format table rounded to six decimals.
+    ``to_json`` writes one line of JSON with sorted keys, from the standard
+    library's encoder. ``to_csv`` renders a long-format table rounded to
+    six decimals.
     """
 
     command: str
@@ -124,7 +122,7 @@ class AnalysisReport:
         return data
 
     def to_json(self) -> str:
-        return _json_text(self.to_dict())
+        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False) + "\n"
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisReport":
@@ -209,101 +207,6 @@ class AnalysisReport:
                 emit("scan_point", "", "", key if float(key) == lam else repr(lam), contrib)
         numbered("warning", self.warnings)
         return out.getvalue()
-
-
-_INDENT = "  "
-_FLOAT_ONLY = {float}
-
-
-def _json_text(obj: Any) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\\n"``, byte for byte.
-
-    With ``indent`` set, json skips its C encoder and renders each float by
-    itself. Here every non-empty list of exact floats is left as a slot
-    while the layout is written, then all of them are rendered together:
-    ``float.__repr__`` runs once per distinct magnitude, and a set sign bit
-    prefixes "-", which is exact for every finite double, -0.0 included.
-    Reports repeat most magnitudes: the right vectors and column coordinates
-    are the left ones with each column pair swapped and one column negated,
-    and ``phi_cells`` is symmetric. Dict keys must be strings. The walk is
-    module-level recursion, not a nested function, so a call leaves no
-    reference cycle holding the report's strings until the cyclic GC runs.
-    """
-    parts: list = []
-    slots: list = []
-    _encode(obj, 0, parts, slots)
-    _fill_float_lists(parts, slots)
-    parts.append("\n")
-    return "".join(parts)
-
-
-def _encode(obj: Any, depth: int, parts: list, slots: list) -> None:
-    """Append the JSON text of obj at nesting ``depth``; a float list leaves a slot."""
-    if isinstance(obj, str):
-        parts.append(encode_basestring_ascii(obj))
-    elif obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, int):
-        parts.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
-        parts.append(float.__repr__(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            parts.append("[]")
-        elif set(map(type, obj)) == _FLOAT_ONLY:
-            slots.append((len(parts), obj, depth))
-            parts.append("")
-        else:
-            inner = "\n" + _INDENT * (depth + 1)
-            sep = "[" + inner
-            for item in obj:
-                parts.append(sep)
-                sep = "," + inner
-                _encode(item, depth + 1, parts, slots)
-            parts.append("\n" + _INDENT * depth + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        inner = "\n" + _INDENT * (depth + 1)
-        sep = "{" + inner
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            parts.append(sep + encode_basestring_ascii(key) + ": ")
-            sep = "," + inner
-            _encode(obj[key], depth + 1, parts, slots)
-        parts.append("\n" + _INDENT * depth + "}")
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _fill_float_lists(parts: list, slots: list) -> None:
-    """Write each slotted float list into ``parts``, rendering each distinct magnitude once."""
-    values = np.array([x for _, floats, _ in slots for x in floats])
-    finite = np.isfinite(values)
-    if not finite.all():
-        bad = float(values[np.argmin(finite)])
-        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-    magnitudes, index = np.unique(np.abs(values), return_inverse=True)
-    texts = list(map(float.__repr__, magnitudes.tolist()))
-    negative = np.signbit(values)
-    negated, negated_index = np.unique(index[negative], return_inverse=True)
-    index[negative] = len(texts) + negated_index
-    texts += ["-" + texts[i] for i in negated.tolist()]
-    rendered = np.array(texts, dtype=object)[index].tolist()
-    start = 0
-    for slot, floats, depth in slots:
-        inner = "\n" + _INDENT * (depth + 1)
-        stop = start + len(floats)
-        parts[slot] = "[" + inner + ("," + inner).join(rendered[start:stop]) + "\n" + _INDENT * depth + "]"
-        start = stop
 
 
 def _floats(arr) -> list:

@@ -10,10 +10,11 @@ import pytest
 
 import skewca
 from conftest import COUNTS_UNDERFLOWING, DATA, abc_csv
-from skewca import AnalysisConfig, cli, divergence, run_analyze, run_matched
+from skewca import AnalysisConfig, cli, divergence, run_analyze, run_matched, run_scan
 from skewca.cli import main
 from skewca.decomposition import default_lambda_grid
 from skewca.errors import InputError
+from skewca.reporting import run_bowker
 
 COFFEE_CSV = """,HP,TC,SA,NE,BR
 HP,93,17,44,7,10
@@ -414,6 +415,21 @@ def test_library_and_cli_reports_agree_on_each_default_metric(capsys, coffee, op
         code, out, err = run_cli(capsys, argv[0], str(DATA / "coffee.csv"), *argv[1:])
         assert code == 0, err
         assert json.loads(out)["config"]["metric"] == metric
+
+
+def test_json_report_is_one_line_holding_the_library_report(capsys, coffee, opinions):
+    coffee_path = str(DATA / "coffee.csv")
+    pair = [str(DATA / f"opinions_{group}.csv") for group in ("teens", "adults")]
+    for argv, report in (
+        (("analyze", coffee_path), run_analyze(AnalysisConfig(), coffee)),
+        (("matched", *pair), run_matched(AnalysisConfig(), *opinions)),
+        (("scan", coffee_path), run_scan(AnalysisConfig(), coffee)),
+        (("bowker", coffee_path), run_bowker(AnalysisConfig(), coffee)),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out.endswith("\n") and out.count("\n") == 1, argv[0]
+        assert json.loads(out) == report.to_dict(), argv[0]
 
 
 def test_exit_code_2_for_bad_lambda(capsys, coffee_csv):
