@@ -40,7 +40,6 @@ class ConfidenceRegion:
     axis: str  # "row" or "column"
     center: tuple[float, float]
     radius: float
-    alpha: float
     contains_origin: bool
 
 
@@ -72,7 +71,7 @@ def confidence_regions(
         InputError: alpha not a normal double in (0, 1), from the chi-square quantile.
     """
     size = dec.size
-    if dec.fully_symmetric or dec.total_inertia <= 0.0:
+    if dec.total_inertia <= 0.0:
         raise AnalysisError("zero asymmetry measure")
     if size == 2:
         raise AnalysisError("undefined for 2x2 tables")
@@ -93,7 +92,6 @@ def confidence_regions(
             axis=axis,
             center=(cx, cy),
             radius=r,
-            alpha=float(alpha),
             contains_origin=covers if r > 0.0 else cx == cy == 0.0,
         )
         for axis, coords in (("row", dec.row_coords), ("column", dec.col_coords))

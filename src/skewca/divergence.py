@@ -25,9 +25,10 @@ from .chisquare import chi_square_sf
 from .errors import AnalysisError, InputError
 from .table import CategoryPairs, ContingencyTable, _frozen, pair_index, pair_matrices
 
-# lam values closer to 0 than this use the analytic lam -> 0 limit; the
-# generic formula is 0/0 at 0 and loses accuracy in a shrinking band around it.
-LAMBDA_ZERO_TOL = 1e-10
+# lam values closer to 0 than this take the lam -> 0 limit, where the formula is 0/0.
+# The limit errs by O(lam), below double precision here; at or above the bound every
+# lam * x the formula forms (x = ln 2 or log(1 +- r), r >= SERIES_MAX_R) is a normal double.
+LAMBDA_ZERO_TOL = 1e-300
 
 # pairs with r below this, and (1 + lam) r < 1, take the even series in r to its
 # term in r^18, whose k-th ratio is (lam + SHIFT) (lam + SHIFT + 1) / DENOMINATOR r^2
@@ -120,7 +121,7 @@ def _series(lams: np.ndarray, squares: np.ndarray, scale: np.ndarray) -> np.ndar
 def _definition(lams, em, near0, r, lower):
     """u by the definition, [(1+r) expm1(lam log(1+r)) + (1-r) expm1(lam log(1-r))] / 2 over
     2^lam - 1; below lam = -1/2, where those terms cancel, [expm1((1+lam) log(1+r)) +
-    expm1((1+lam) log(1-r))] / 2 over it; on the lam = 0 band, the limit over ln 2."""
+    expm1((1+lam) log(1-r))] / 2 over it; for |lam| < LAMBDA_ZERO_TOL, the limit over ln 2."""
     log_upper = np.log1p(r)
     log_lower = np.log(lower)  # -inf on a one-sided pair, whose u is set to 1 below
     low = (lams < -0.5)[:, None]

@@ -9,7 +9,7 @@ import numbers
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, ClassVar
 
 import numpy as np
 
@@ -27,8 +27,6 @@ from .errors import AnalysisError, InputError
 from .matched import build_matched
 from .svg import render_svg_plot
 from .table import ContingencyTable
-
-SCHEMA_VERSION = 1
 
 OUTPUT_FORMATS = ("json", "csv")
 PLOT_AXES = ("rows", "columns", "both")
@@ -97,10 +95,9 @@ def resolve_lambda(value: str | float) -> float:
 class AnalysisReport:
     """Machine-readable result of one analysis run.
 
-    ``to_json``/``from_json`` round-trip every numeric field exactly;
     ``to_json`` writes one line of JSON with sorted keys, from the standard
-    library's encoder. ``to_csv`` renders a long-format table rounded to
-    six decimals.
+    library's encoder, and ``json.loads`` reads every numeric field back
+    exactly. ``to_csv`` renders a long-format table rounded to six decimals.
     """
 
     command: str
@@ -114,27 +111,16 @@ class AnalysisReport:
     matched: dict | None = None
     scan: dict | None = None
     warnings: list = ()
-    schema_version: int = SCHEMA_VERSION
+    schema_version: ClassVar[int] = 1
 
     def to_dict(self) -> dict:
         data = {f.name: getattr(self, f.name) for f in fields(self)}
         data["warnings"] = list(self.warnings)
+        data["schema_version"] = self.schema_version
         return data
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False) + "\n"
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AnalysisReport":
-        """Rebuild a report; a missing section takes its default, the version is required."""
-        values = {f.name: data[f.name] for f in fields(cls) if f.name in data}
-        values["schema_version"] = data["schema_version"]
-        values["warnings"] = list(values.get("warnings", ()))
-        return cls(**values)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AnalysisReport":
-        return cls.from_dict(json.loads(text))
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -165,6 +151,9 @@ class AnalysisReport:
             if key == "labels":
                 for i, lab in enumerate(value, start=1):
                     emit("table", "", lab, "label_order", i)
+            elif isinstance(value, list):  # matched's n: one row per table
+                for m, count in enumerate(value, start=1):
+                    emit("table", "", "", f"{key}_{m}", count)
             else:
                 emit("table", "", "", key, value)
         for section_name, section in (("bowker", self.bowker), ("asymmetry", self.asymmetry)):
@@ -174,7 +163,7 @@ class AnalysisReport:
                 if isinstance(value, (list, tuple)):
                     continue
                 emit(section_name, "", "", key, value)
-        if self.asymmetry and "phi_cells" in self.asymmetry:
+        if self.asymmetry:
             cells = self.asymmetry["phi_cells"]
             for i in range(len(labels)):
                 for j in range(i + 1, len(labels)):
@@ -214,7 +203,7 @@ def _floats(arr) -> list:
     return (np.asarray(arr, dtype=float) + 0.0).tolist()
 
 
-def _region_dict(region: ConfidenceRegion) -> dict:
+def _region_dict(region: ConfidenceRegion, alpha: float) -> dict:
     return {
         "index": region.index,
         "label": region.label,
@@ -223,7 +212,7 @@ def _region_dict(region: ConfidenceRegion) -> dict:
         "center_y": region.center[1] + 0.0,
         "radius_x": region.radius,
         "radius_y": region.radius,
-        "alpha": region.alpha,
+        "alpha": alpha,
         "contains_origin": region.contains_origin,
     }
 
@@ -340,7 +329,7 @@ def run_analyze(config: AnalysisConfig, table: ContingencyTable) -> AnalysisRepo
             "row_origin_distances": distances,
             "column_origin_distances": distances,
         },
-        regions=[_region_dict(r) for r in regions] if regions is not None else None,
+        regions=[_region_dict(r, float(config.alpha)) for r in regions] if regions is not None else None,
         warnings=warnings,
     )
     if config.svg_path:

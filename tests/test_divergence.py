@@ -506,6 +506,18 @@ def test_statistic_against_decimal_definition(coffee, rng):
             assert power_divergence_statistic(t, lam) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+def test_measure_and_statistic_near_lambda_zero_against_decimal(coffee, rng):
+    # the lam -> 0 limit errs by O(lam); only a lam below 1e-300 may take it
+    tables = [coffee.counts] + [random_table(rng, int(rng.integers(2, 9))).counts for _ in range(10)]
+    for counts in tables:
+        for lam in (1e-11, -1e-11, 9e-11, -9e-11, 1e-13):
+            t = validate_table([f"c{k}" for k in range(len(counts))], counts)
+            expected = decimal_statistic(counts, lam)
+            assert power_divergence_statistic(t, lam) == pytest.approx(expected, rel=1e-13, abs=0.0)
+            expected = decimal_phi(counts, lam)
+            assert asymmetry_measure(t, lam).phi_total == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
 def test_measure_keeps_its_digits_at_large_lambda(rng):
     # past lam ~ 60 the per-cell route cancels to 0; the kernel falls back per lam
     tables = [[[50, 30, 10], [20, 40, 25], [12, 18, 60]]]
