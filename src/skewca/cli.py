@@ -199,8 +199,14 @@ def main(argv: list[str] | None = None) -> int:
             written.append(Path(config.svg_path))
         if config.svg_path and args.command == "matched":
             written += matched_svg_paths(config.svg_path).values()
-        if len({str(path.resolve()).casefold() for path in written}) < len(written):
+        outputs = [str(path.resolve()).casefold() for path in written]
+        if len(set(outputs)) < len(outputs):
             raise InputError(f"two outputs of this run name the same file: {[str(p) for p in written]}")
+        named = [getattr(args, key, None) for key in ("table", "table1", "table2")]
+        named.append(args.config or os.environ.get(CONFIG_ENV_VAR))  # the config file it reads
+        reads = {str(Path(p).resolve()).casefold() for p in named if p}  # two inputs may name one file
+        if clash := [str(path) for path, key in zip(written, outputs) if key in reads]:
+            raise InputError(f"an output of this run names a file that it reads: {clash}")
         created = [path for path in written if not path.exists()]
         if args.command == "analyze":
             report = run_analyze(config, load_table(args.table))

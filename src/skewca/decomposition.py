@@ -243,15 +243,15 @@ def scan_lambda(t: ContingencyTable, grid: Sequence[float] | None = None) -> Lam
     inertias = np.empty(pts.size)
     for start in range(0, pts.size, step):
         chunk = slice(start, start + step)
-        result = departures(t.pairs, pts[chunk])  # raises on delta = 0 first
+        cells, totals = departures(t.pairs, pts[chunk])  # raises on delta = 0 first
         if not t.pairs.diffs.any():
             raise AnalysisError(
                 "fully symmetric table: the contribution profile is undefined at every lam"
             )
-        skew = skew_stack(t, result.cells)
+        skew = skew_stack(t, cells)
         top = np.linalg.eigvalsh(-(skew @ skew))[:, -1]
-        inertias[chunk] = result.totals
-        contribs[chunk] = np.minimum(200.0 * top / result.totals, 100.0)
+        inertias[chunk] = totals
+        contribs[chunk] = np.minimum(200.0 * top / totals, 100.0)
     # ties go to the smaller lam; a small tolerance keeps the rule meaningful
     # when two grid points agree to rounding noise
     best = int(np.argmax(contribs >= contribs.max() - 1e-9))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .chisquare import chi_square_sf
 from .errors import AnalysisError, InputError
-from .table import CategoryPairs, ContingencyTable, _frozen, pair_index, pair_matrices
+from .table import CategoryPairs, ContingencyTable, _frozen, pair_matrices, upper_triangle
 
 # lam values closer to 0 than this take the lam -> 0 limit, where the formula is 0/0.
 # The limit errs by O(lam), below double precision here; at or above the bound every
@@ -92,18 +92,6 @@ def power_divergence_scale(lam: float) -> float:
     return lam * (lam + 1.0) / math.expm1(lam * _LN2)
 
 
-@dataclass(frozen=True)
-class PairDepartures:
-    """The measure over P category pairs at L values of lam.
-
-    ``cells[l, k]`` is the departure of each cell of pair k at the l-th lam and ``totals[l]``
-    the measure, capped at 1 against rounding.
-    """
-
-    cells: np.ndarray = field(repr=False)
-    totals: np.ndarray = field(repr=False)
-
-
 def _series(lams: np.ndarray, squares: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """``scale`` g(r) / lam from r^2 = ``squares`` by the series (1+lam)/2 r^2 (t_0 + ... + t_8):
     t_0 = 1, t_k/t_(k-1) = (lam-2k)(lam+1-2k) r^2 / ((2k+1)(2k+2)), which r < SERIES_MAX_R
@@ -135,8 +123,10 @@ def _definition(lams, em, near0, r, lower):
     return terms
 
 
-def departures(pairs: CategoryPairs, lams) -> PairDepartures:
-    """The measure's departures of ``pairs`` at every lam, each one > -1 and finite.
+def departures(pairs: CategoryPairs, lams) -> tuple[np.ndarray, np.ndarray]:
+    """The measure's departures of P ``pairs`` at L lams, each one > -1 and finite, as
+    ``(cells, totals)``: ``cells[l, k]`` is the departure of each cell of pair k at the l-th
+    lam and ``totals[l]`` the measure, capped at 1 against rounding.
 
     A cell of a pair with sum s carries s u / (2 delta), delta the off-diagonal total,
     u = g(r) / (2^lam - 1) and g(r) = ((1+r)^(1+lam) + (1-r)^(1+lam)) / 2 - 1 (Cressie
@@ -184,7 +174,7 @@ def departures(pairs: CategoryPairs, lams) -> PairDepartures:
             f"{totals[worst]!r} vs {check[worst]!r}"
         )
     np.minimum(totals, 1.0, out=totals)
-    return PairDepartures(cells=u, totals=totals)
+    return u, totals
 
 
 def bowker_statistic(t: ContingencyTable) -> BowkerResult:
@@ -210,17 +200,17 @@ def asymmetry_measure(t: ContingencyTable, lam: float) -> AsymmetryProfile:
         AnalysisError: every observation is on the diagonal.
     """
     lam = require_lambda(lam)
-    result = departures(t.pairs, lam)
-    t.pairs.measured[lam] = phi = float(result.totals[0])
+    cells, totals = departures(t.pairs, lam)
+    t.pairs.measured[lam] = phi = float(totals[0])
     zero_pairs: tuple[tuple[int, int], ...] = ()
     empty = np.flatnonzero(t.pairs.sums == 0)
     if empty.size:
-        rows, cols = pair_index(t.size)
+        rows, cols = np.nonzero(upper_triangle(t.size))
         zero_pairs = tuple(zip(rows[empty].tolist(), cols[empty].tolist()))
     return AsymmetryProfile(
         lam=lam,
         phi_total=phi,
-        phi_cells=_frozen(pair_matrices(result.cells, result.cells, t.size)[0]),
+        phi_cells=_frozen(pair_matrices(cells, cells, t.size)[0]),
         zero_pair_cells=zero_pairs,
     )
 
@@ -236,7 +226,7 @@ def power_divergence_statistic(t: ContingencyTable, lam: float) -> float:
     lam = require_lambda(lam)
     phi = t.pairs.measured.get(lam)
     if phi is None:
-        t.pairs.measured[lam] = phi = float(departures(t.pairs, lam).totals[0])
+        t.pairs.measured[lam] = phi = float(departures(t.pairs, lam)[1][0])
     stat = 2.0 * t.pairs.off_diagonal * phi / power_divergence_scale(lam)
     if not math.isfinite(stat):
         raise InputError(f"statistic overflows double precision at lam={lam}")

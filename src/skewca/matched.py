@@ -25,20 +25,14 @@ from .table import ContingencyTable, _frozen, validate_table
 
 
 @dataclass(frozen=True)
-class DimensionClass:
-    """Attribution of one block dimension to the sum or difference component."""
-
-    component: str  # "sum" or "difference"
-    source_dim: int  # 1-based dimension within that component's own SVD
-    singular_value: float
-
-
-@dataclass(frozen=True)
 class MatchedAnalysis:
     """Component SVDs, their merged block dimensions, and first-block coordinates.
 
-    Each coordinate matrix is R x R, one column per component dimension by
-    descending value; for odd R the last is the zero null one.
+    ``component_values`` holds the sum's R values, then the difference's R, each
+    with the zero of its null dimension for odd R. Block dimension k is
+    ``component_values[block_order[k]]``: an index i below R names the sum, and
+    ``i % R + 1`` is its dimension there. Each coordinate matrix is R x R, one
+    column per component dimension by descending value, for odd R the last zero.
     """
 
     labels: tuple[str, ...]
@@ -48,7 +42,8 @@ class MatchedAnalysis:
     skew_second: np.ndarray = field(repr=False)
     svd_plus: PairedSVD = field(repr=False)
     svd_minus: PairedSVD = field(repr=False)
-    dim_classes: tuple[DimensionClass, ...]
+    component_values: np.ndarray = field(repr=False)
+    block_order: np.ndarray = field(repr=False)
     sum_rows: np.ndarray = field(repr=False)
     sum_cols: np.ndarray = field(repr=False)
     difference_rows: np.ndarray = field(repr=False)
@@ -86,7 +81,7 @@ def build_matched(
     Both tables must share the same labels in the same order and both must
     carry off-diagonal mass. The two skew matrices use the same lam. The
     block's singular values are the sum and difference values merged in
-    descending order, and ``dim_classes`` attributes each to its component;
+    descending order, and ``block_order`` indexes each in ``component_values``;
     the block matrix itself is never built here. As in the block's SVD, values
     at most ZERO_SINGULAR_RTOL of the largest are zeros, in the components too.
 
@@ -123,12 +118,6 @@ def build_matched(
     # pair values are exactly equal, so the stable merge keeps pairs adjacent
     # and sends exact ties to the sum component first
     order = np.argsort(-values, kind="stable")
-    classes = tuple(
-        DimensionClass(
-            "sum" if i < size else "difference", int(i % size) + 1, float(values[i])
-        )
-        for i in order
-    )
     sum_rows, sum_cols = _first_block(svd_plus, weights, size)
     difference_rows, difference_cols = _first_block(svd_minus, weights, size)
     return MatchedAnalysis(
@@ -139,7 +128,8 @@ def build_matched(
         skew_second=s2,
         svd_plus=svd_plus,
         svd_minus=svd_minus,
-        dim_classes=classes,
+        component_values=_frozen(values),
+        block_order=_frozen(order),
         sum_rows=sum_rows,
         sum_cols=sum_cols,
         difference_rows=difference_rows,

@@ -352,7 +352,8 @@ def run_matched(
     """Matched-pair pipeline: component SVDs, their merged block values, coordinates."""
     config = replace(config, metric=config.metric or "identity")
     analysis = build_matched(t1, t2, config.lam, config.metric)
-    block_values = np.array([cls.singular_value for cls in analysis.dim_classes])
+    values, order, size = analysis.component_values, analysis.block_order, analysis.size
+    block_values = values[order]
     total_inertia = float(np.sum(block_values ** 2))
     report = AnalysisReport(
         command="matched",
@@ -369,11 +370,11 @@ def run_matched(
             "difference_singular_values": _floats(analysis.svd_minus.singular_values),
             "dimension_classes": [
                 {
-                    "component": cls.component,
-                    "source_dim": cls.source_dim,
-                    "singular_value": cls.singular_value,
+                    "component": "sum" if i < size else "difference",
+                    "source_dim": int(i % size) + 1,
+                    "singular_value": float(values[i]),
                 }
-                for cls in analysis.dim_classes
+                for i in order
             ],
             "metric": analysis.metric,
             "sum_rows": _floats(analysis.sum_rows),
@@ -388,13 +389,13 @@ def run_matched(
     )
     if config.svg_path:
         for component, path in matched_svg_paths(config.svg_path).items():
-            # the component's R block values, its null dimension's zero included
-            values = np.array([c.singular_value for c in analysis.dim_classes if c.component == component])
+            # the component's R values, its null dimension's zero included
+            part = values[:size] if component == "sum" else values[size:]
             svg = _plot_svg(
                 analysis.labels,
                 getattr(analysis, f"{component}_rows"),
                 getattr(analysis, f"{component}_cols"),
-                _shares(values, total_inertia),
+                _shares(part, total_inertia),
                 component,
                 config,
             )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -13,6 +14,9 @@ from .errors import InputError
 
 # Counts are stored as int64; a count or a total above this is rejected.
 INT64_MAX = int(np.iinfo(np.int64).max)
+
+# what XML 1.0 or UTF-8 cannot carry: C0 controls but tab, LF and CR, lone surrogates, U+FFFE, U+FFFF
+_UNWRITABLE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -66,13 +70,6 @@ def upper_triangle(size: int) -> np.ndarray:
     return _frozen(index[:, None] < index)
 
 
-@lru_cache
-def pair_index(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (rows, cols) of the category pairs (i, j), i < j, in row-major pair order."""
-    rows, cols = np.nonzero(upper_triangle(size))
-    return _frozen(rows), _frozen(cols)
-
-
 def pair_matrices(upper: np.ndarray, lower: np.ndarray, size: int) -> np.ndarray:
     """(L, R, R) matrices with upper[:, k] at pair k's cell (i, j) and lower[:, k] at (j, i)."""
     stack = np.zeros((len(upper), size, size))
@@ -124,8 +121,8 @@ def validate_table(labels: Sequence[str], counts) -> ContingencyTable:
     Raises:
         InputError: counts is not a square matrix of integers with at least
             two categories, a count is negative, a count or the total exceeds
-            2**63 - 1, all counts are zero, labels repeat, or the label count
-            differs from the matrix size.
+            2**63 - 1, all counts are zero, the label count differs from the
+            matrix size, or labels repeat or hold what XML or UTF-8 cannot carry.
     """
     arr = _count_array(counts)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
@@ -141,6 +138,9 @@ def validate_table(labels: Sequence[str], counts) -> ContingencyTable:
     labels = tuple(str(lab) for lab in labels)
     if len(labels) != size:
         raise InputError(f"{len(labels)} labels for a {size}x{size} table")
+    if _UNWRITABLE.search("".join(labels)):
+        bad = next(lab for lab in labels if _UNWRITABLE.search(lab))
+        raise InputError(f"label {bad!r} holds a character that XML or UTF-8 cannot carry")
     seen: set[str] = set()
     for lab in labels:
         if lab in seen:

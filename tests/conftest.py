@@ -180,6 +180,11 @@ def oracle_reconstruct(svd) -> np.ndarray:
     return (svd.left_vectors * svd.singular_values) @ svd.right_vectors.T
 
 
+def block_components(m) -> list[str]:
+    """The component of each block dimension of a matched analysis, "sum" or "difference"."""
+    return ["sum" if i < m.size else "difference" for i in m.block_order]
+
+
 def oracle_block_rotation(n_dims: int) -> np.ndarray:
     """J, the block-diagonal orthogonal skew matrix of [[0, 1], [-1, 0]] blocks."""
     j = np.zeros((n_dims, n_dims))

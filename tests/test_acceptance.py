@@ -14,6 +14,7 @@ import pytest
 from scipy import integrate
 
 from conftest import (
+    block_components,
     chi_square_cdf,
     one_sided,
     oracle_block_rotation,
@@ -288,7 +289,7 @@ def test_criterion_7_matched_reproduction(opinions):
     block_svd = m.block_svd
     vals = block_svd.singular_values
     pairs_equal = all(vals[2 * k] == vals[2 * k + 1] for k in range(len(vals) // 2))
-    tags = [c.component for c in m.dim_classes]
+    tags = block_components(m)
     classification = tags == [
         "sum", "sum", "difference", "difference",
         "difference", "difference", "sum", "sum",
@@ -296,8 +297,8 @@ def test_criterion_7_matched_reproduction(opinions):
     left = block_svd.left_vectors
     half = m.size
     pattern = True
-    for k, cls in enumerate(m.dim_classes):
-        expected = left[:half, k] if cls.component == "sum" else -left[:half, k]
+    for k, component in enumerate(tags):
+        expected = left[:half, k] if component == "sum" else -left[:half, k]
         pattern = pattern and bool(np.abs(left[half:, k] - expected).max() < 1e-10)
     # block_svd is the library's own paired SVD of the block, so the pattern
     # above is a property of a real factorization; the block matrix is its oracle

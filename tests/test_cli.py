@@ -106,7 +106,7 @@ def test_csv_output_to_a_json_path_is_rejected_before_writing(capsys, coffee_csv
         assert not out_path.with_suffix(".json").exists()
 
 
-def test_two_outputs_naming_one_file_are_rejected_before_writing(capsys, coffee_csv, tmp_path):
+def test_two_outputs_naming_one_file_are_rejected_before_writing(capsys, coffee_csv, tmp_path, monkeypatch):
     # the report would replace the plot, the CSV's JSON companion the plot, and
     # the matched report its sum plot
     table = str(coffee_csv)
@@ -123,6 +123,42 @@ def test_two_outputs_naming_one_file_are_rejected_before_writing(capsys, coffee_
         assert code == 2, argv
         assert out == "" and "name the same file" in err, argv
         assert [path.name for path in tmp_path.iterdir()] == ["coffee.csv"], argv
+    # an output may not replace a file that the run reads: a table or the config file
+    (tmp_path / "t.json").write_text(json.dumps({"labels": ["a", "b"], "counts": [[1, 2], [3, 4]]}))
+    (tmp_path / "t2.csv").write_text(COFFEE_CSV)
+    (tmp_path / "c.cfg").write_text("lambda=kl\n")
+    inputs = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    for env, argv in (
+        (None, ["analyze", table, "-o", table]),
+        (None, ["analyze", table, "--svg", table]),
+        (None, ["analyze", at("t.json"), "--format", "csv", "-o", at("t.csv")]),
+        (None, ["matched", table, at("t2.csv"), "-o", at("t2.csv")]),
+        (None, ["analyze", table, "--config", at("c.cfg"), "-o", at("c.cfg")]),
+        (at("c.cfg"), ["bowker", table, "-o", at("c.cfg")]),
+    ):
+        monkeypatch.delenv("SKEWCA_CONFIG", raising=False)
+        if env:
+            monkeypatch.setenv("SKEWCA_CONFIG", env)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "names a file that it reads" in err, argv
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == inputs, argv
+    # the run reads the --config file, not the one the environment names
+    (tmp_path / "d.cfg").write_text("format=json\n")
+    code, _, err = run_cli(capsys, "bowker", table, "--config", at("d.cfg"), "-o", at("c.cfg"))
+    assert code == 0, err
+
+
+def test_label_that_xml_or_utf8_cannot_carry_exits_2_and_writes_nothing(capsys, tmp_path):
+    # "a\u0001" made an SVG that XML parsers reject, "a\ud800" a UnicodeEncodeError
+    for label in ("a\u0001", "a\ud800"):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"labels": [label, "b"], "counts": [[1, 2], [3, 4]]}))  # ASCII escapes
+        for argv in (["--svg", str(tmp_path / "x.svg")], ["--format", "csv"]):
+            code, out, err = run_cli(capsys, "analyze", str(path), *argv)
+            assert code == 2, (label, argv)
+            assert out == "" and "cannot carry" in err, (label, argv)
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["t.json"], (label, argv)
 
 
 def test_bowker_command(capsys, coffee_csv):

@@ -358,18 +358,18 @@ def kernel_inputs():
 
 def test_kernel_matches_scalar_oracle():
     a, b, delta = kernel_inputs()
-    result = pair_departures(a, b, delta, KERNEL_LAMBDAS)
-    assert result.cells.shape == (len(KERNEL_LAMBDAS), len(KERNEL_PAIRS))
+    cells, totals = pair_departures(a, b, delta, KERNEL_LAMBDAS)
+    assert cells.shape == (len(KERNEL_LAMBDAS), len(KERNEL_PAIRS))
     for row, lam in enumerate(KERNEL_LAMBDAS):
         for k, (x, y) in enumerate(zip(a, b)):
             expected = scalar_pair(float(x), float(y), delta, lam)
-            assert result.cells[row, k] == pytest.approx(expected, rel=1e-14, abs=1e-17)
-        assert result.totals[row] == pytest.approx(2.0 * result.cells[row].sum(), abs=1e-15)
+            assert cells[row, k] == pytest.approx(expected, rel=1e-14, abs=1e-17)
+        assert totals[row] == pytest.approx(2.0 * cells[row].sum(), abs=1e-15)
 
 
 def test_kernel_closed_forms_at_zero_and_one():
     a, b, delta = kernel_inputs()
-    result = pair_departures(a, b, delta, [0.0, 1.0])
+    cells, _ = pair_departures(a, b, delta, [0.0, 1.0])
     for k, (x, y) in enumerate(zip(a, b)):
         x, y = float(x), float(y)
         # Pearson: (a - b)^2 / (2 delta (a + b)); KL: prefactor times 1 - binary entropy in bits
@@ -378,32 +378,32 @@ def test_kernel_closed_forms_at_zero_and_one():
         if x + y > 0.0:
             bits = -sum(s * math.log2(s) for s in (x / (x + y), y / (x + y)) if s > 0.0)
             kl = (x + y) / (2.0 * delta) * (1.0 - bits)
-        assert result.cells[0, k] == pytest.approx(kl, abs=1e-16)
-        assert result.cells[1, k] == pytest.approx(pearson, abs=1e-16)
+        assert cells[0, k] == pytest.approx(kl, abs=1e-16)
+        assert cells[1, k] == pytest.approx(pearson, abs=1e-16)
 
 
 def test_kernel_special_pairs():
     a, b, delta = kernel_inputs()
-    result = pair_departures(a, b, delta, KERNEL_LAMBDAS)
+    cells, _ = pair_departures(a, b, delta, KERNEL_LAMBDAS)
     empty, equal = KERNEL_PAIRS.index((0.0, 0.0)), KERNEL_PAIRS.index((4.0, 4.0))
-    assert np.all(result.cells[:, [empty, equal]] == 0.0)
+    assert np.all(cells[:, [empty, equal]] == 0.0)
     # a one-sided pair departs completely: its two cells carry its whole mass share
     for k in (KERNEL_PAIRS.index((5.0, 0.0)), KERNEL_PAIRS.index((0.0, 2.0))):
         share = float(a[k] + b[k]) / (2.0 * delta)
-        assert np.allclose(result.cells[:, k], share, rtol=1e-13, atol=0.0)
+        assert np.allclose(cells[:, k], share, rtol=1e-13, atol=0.0)
     # a lone one-sided table measures exactly one at every lam
-    lone = pair_departures(np.array([0.25]), np.array([0.0]), 0.25, KERNEL_LAMBDAS)
-    assert np.allclose(lone.totals, 1.0, rtol=0.0, atol=1e-15)
+    _, lone = pair_departures(np.array([0.25]), np.array([0.0]), 0.25, KERNEL_LAMBDAS)
+    assert np.allclose(lone, 1.0, rtol=0.0, atol=1e-15)
     # a negligible pair beside a dominant one keeps its own digits at large lam
-    beside = pair_departures(np.array([0.3, 0.2]), np.array([0.0, 0.1]), 0.6, [100.0])
-    assert beside.cells[0, 0] == 0.25
-    assert beside.cells[0, 1] == pytest.approx(4.0994240442977433e-19, rel=1e-12, abs=0.0)
+    beside, _ = pair_departures(np.array([0.3, 0.2]), np.array([0.0, 0.1]), 0.6, [100.0])
+    assert beside[0, 0] == 0.25
+    assert beside[0, 1] == pytest.approx(4.0994240442977433e-19, rel=1e-12, abs=0.0)
 
 
 def test_kernel_is_continuous_across_the_branch_point():
     a, b, delta = kernel_inputs()
     lams = sorted(KERNEL_LAMBDAS[:12])
-    totals = pair_departures(a, b, delta, lams).totals
+    _, totals = pair_departures(a, b, delta, lams)
     # within |lam| <= 1e-9 the measure moves by O(1e-9), the limit branch included;
     # a defect at the branch switch would jump by far more
     assert np.ptp(totals) < 1e-9
@@ -415,11 +415,11 @@ def test_kernel_batch_equals_single_calls(rng):
         upper = upper_triangle(p.size)
         a, b = p.p[upper], p.p.T[upper]
         lams = np.concatenate((KERNEL_LAMBDAS, rng.uniform(-0.95, 4.0, size=5)))
-        batch = pair_departures(a, b, p.delta, lams)
+        batch_cells, batch_totals = pair_departures(a, b, p.delta, lams)
         for row, lam in enumerate(lams):
-            single = pair_departures(a, b, p.delta, lam)
-            assert np.array_equal(batch.cells[row], single.cells[0])
-            assert batch.totals[row] == single.totals[0]
+            single_cells, single_totals = pair_departures(a, b, p.delta, lam)
+            assert np.array_equal(batch_cells[row], single_cells[0])
+            assert batch_totals[row] == single_totals[0]
 
 
 def test_kernel_overflow_raises_without_warning():
@@ -433,8 +433,8 @@ def test_kernel_overflow_raises_without_warning():
             with pytest.raises(InputError, match="measure overflows double precision at lam=2000.0"):
                 pair_departures(*pair, [1.0, 2000.0])
         # ratios never exceed 2, so below the overflow of 2^lam everything is finite
-        finite = pair_departures(a, b, delta, [0.5, 1000.0])
-        assert np.all((finite.totals >= 0.0) & (finite.totals <= 1.0 + 1e-12))
+        _, finite = pair_departures(a, b, delta, [0.5, 1000.0])
+        assert np.all((finite >= 0.0) & (finite <= 1.0 + 1e-12))
         with pytest.raises(InputError, match="measure overflows double precision at lam=2000.0"):
             pair_departures(a, b, delta, [0.5, 1000.0, 2000.0])
         p = validate_table(["a", "b", "c"], [[0, 5, 2], [1, 0, 3], [4, 1, 0]])
@@ -541,12 +541,12 @@ def test_measure_matches_kernel_cells(coffee):
     upper = upper_triangle(coffee.size)
     for lam in KERNEL_LAMBDAS:
         profile = asymmetry_measure(coffee, lam)
-        kernel = pair_departures(
+        cells, totals = pair_departures(
             coffee.counts[upper], coffee.counts.T[upper], coffee.n - np.trace(coffee.counts), lam
         )
-        assert np.array_equal(profile.phi_cells[upper], kernel.cells[0])
-        assert np.array_equal(profile.phi_cells.T[upper], kernel.cells[0])
-        assert profile.phi_total == float(kernel.totals[0])
+        assert np.array_equal(profile.phi_cells[upper], cells[0])
+        assert np.array_equal(profile.phi_cells.T[upper], cells[0])
+        assert profile.phi_total == float(totals[0])
         for i in range(coffee.size):
             for j in range(coffee.size):
                 if i != j:
@@ -563,7 +563,7 @@ def test_single_pairs_against_decimal():
     lams = (-0.99, -0.5, -1e-3, 0.0, 1e-9, 1e-3, 2.0 / 3.0, 1.0, 3.0, 20.0, 100.0, 700.0)
     for d in diffs:
         a, b = (s + d) // 2, (s - d) // 2
-        totals = pair_departures(np.array([a], float), np.array([b], float), float(s), lams).totals
+        _, totals = pair_departures(np.array([a], float), np.array([b], float), float(s), lams)
         for lam, total in zip(lams, totals):
             expected = decimal_phi([[0, a], [b, 0]], lam)
             assert total == pytest.approx(expected, rel=1e-12, abs=0.0), (d, lam)

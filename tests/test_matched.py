@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     COUNTS_PAST_DOUBLE_PRECISION,
     abc_table,
+    block_components,
     oracle_reconstruct,
     planted_skew,
     random_table,
@@ -37,9 +38,9 @@ def test_identical_tables(rng):
     assert np.all((m.skew_first - m.skew_second) == 0.0)
     assert np.abs(m.svd_minus.singular_values).max() == 0.0
     # every positive block value carries the sum tag
-    for cls in m.dim_classes:
-        if cls.singular_value > 1e-12:
-            assert cls.component == "sum"
+    for value, component in zip(m.component_values[m.block_order], block_components(m)):
+        if value > 1e-12:
+            assert component == "sum"
     assert np.all(m.difference_rows == 0.0)
     assert np.all(m.difference_cols == 0.0)
 
@@ -55,7 +56,7 @@ def test_second_table_symmetric_duplicates_first(rng):
     # every value of the first table's SVD appears twice: once sum, once difference
     plus = m.svd_plus.singular_values
     assert np.allclose(np.sort(vals), np.sort(np.concatenate([plus, plus])), atol=1e-10)
-    tags = [c.component for c in m.dim_classes]
+    tags = block_components(m)
     for k in range(0, len(tags), 4):
         assert tags[k : k + 4] == ["sum", "sum", "difference", "difference"]
 
@@ -68,9 +69,9 @@ def test_transposed_pair_kills_the_sum_component(rng):
     m = build_matched(t1, t2, 1.0)
     assert np.abs(m.skew_first + m.skew_second).max() < 1e-15
     assert np.abs((m.skew_first - m.skew_second) - 2.0 * m.skew_first).max() < 1e-15
-    for cls in m.dim_classes:
-        if cls.singular_value > 1e-12:
-            assert cls.component == "difference"
+    for value, component in zip(m.component_values[m.block_order], block_components(m)):
+        if value > 1e-12:
+            assert component == "difference"
     assert np.abs(m.sum_rows).max() < 1e-12
 
 
@@ -99,7 +100,7 @@ def test_block_values_union_property(rng):
             continue
         checked += 1
         for component in ("sum", "difference"):
-            dims = [k for k, cls in enumerate(m.dim_classes) if cls.component == component]
+            dims = [k for k, tag in enumerate(block_components(m)) if tag == component]
             left, right = block_svd.left_vectors, block_svd.right_vectors
             for side, vectors in (("rows", left), ("cols", right)):
                 expected = vectors[:size, dims] * block_svd.singular_values[dims]
@@ -158,7 +159,7 @@ def test_block_values_merge_near_tied_components(components):
     table = validate_table([f"c{k}" for k in range(size)], np.ones((size, size), dtype=int))
     with mock.patch.object(matched, "skew_matrix", side_effect=[s1, s2]):
         m = build_matched(table, table, 1.0)
-    merged = np.array([cls.singular_value for cls in m.dim_classes])
+    merged = m.component_values[m.block_order]
     block_svd = m.block_svd
     top = float(merged[0])
     assert np.abs(block_svd.singular_values - merged).max() <= 1e-12 * top
@@ -173,7 +174,7 @@ def test_block_values_merge_near_tied_components(components):
     # the components report the block's structural zeros as zeros too
     components = np.concatenate([m.svd_plus.singular_values, m.svd_minus.singular_values])
     assert np.array_equal(np.sort(components)[::-1], merged[: len(components)])
-    tags = [cls.component for cls in m.dim_classes]
+    tags = block_components(m)
     assert tags.count("sum") == tags.count("difference") == size
     # the merge is stable, so within a run of exactly equal values every sum comes first
     for k in range(2 * size - 1):
@@ -255,7 +256,7 @@ def test_opinion_block_values_at_pearson(opinions):
     vals = m.block_svd.singular_values
     assert np.abs(vals - PUBLISHED_BLOCK_VALUES).max() < 1e-3
     # dims 1,2,7,8 sum; 3,4,5,6 difference (1-based)
-    tags = [c.component for c in m.dim_classes]
+    tags = block_components(m)
     assert tags == [
         "sum", "sum", "difference", "difference",
         "difference", "difference", "sum", "sum",
@@ -267,9 +268,9 @@ def test_opinion_block_vector_pattern(opinions):
     m = build_matched(t1, t2, 1.0)
     left = m.block_svd.left_vectors
     half = m.size
-    for k, cls in enumerate(m.dim_classes):
+    for k, component in enumerate(block_components(m)):
         top, bottom = left[:half, k], left[half:, k]
-        if cls.component == "sum":
+        if component == "sum":
             assert np.abs(bottom - top).max() < 1e-10
         else:
             assert np.abs(bottom + top).max() < 1e-10

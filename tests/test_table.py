@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,15 @@ def test_empty_table():
 def test_duplicate_label():
     with pytest.raises(InputError, match="duplicate label 'a'"):
         validate_table(["a", "a"], [[1, 2], [3, 4]])
+
+
+def test_labels_that_xml_or_utf8_cannot_carry_are_rejected():
+    for bad in ("a\x00", "\x01", "a\x08b", "\x0b", "\x0c", "\x0e", "a\x1f", "\ud800", "a\udfff", "\ufffe", "\uffff"):
+        with pytest.raises(InputError, match=re.escape(f"label {bad!r} holds")):
+            validate_table(["x", bad], [[1, 2], [3, 4]])
+    # tab, LF and CR are legal in XML, and so is any letter beyond ASCII
+    for good in ("a\tb", "a\nb", "a\rb", "café", "Ωμέγα", "日本", "\U0001f600", "\ufffd", "\x7f"):
+        assert validate_table(["x", good], [[1, 2], [3, 4]]).labels == ("x", good)
 
 
 def test_label_count_mismatch():
