@@ -60,6 +60,14 @@ def test_wrong_cell_count():
         parse_table_csv("a,b\na,1\nb,3,4\n")
 
 
+def test_wrong_cell_count_names_the_file_line():
+    # blank lines count: the row is named by its line in the file
+    with pytest.raises(InputError, match=r"row 3 holds 2 cells, expected label \+ 2 counts"):
+        parse_table_csv("a,b\n\na,1\nb,3,4\n")
+    with pytest.raises(InputError, match=r"row 6 holds 2 cells, expected label \+ 2 counts"):
+        parse_table_csv("a,b\n\n\na,1,2\n,,\nb,3\n")
+
+
 def test_non_integer_cell():
     with pytest.raises(InputError, match="is not a non-negative integer") as err:
         parse_table_csv("a,b\na,1,2.5\nb,3,4\n")
@@ -280,6 +288,53 @@ def test_canonical_rows_skip_the_per_cell_rule(monkeypatch):
     assert t.n == int(sum(int(v) for v in counts.ravel()))
 
 
+def test_plain_tables_skip_the_per_cell_rule(monkeypatch):
+    # hyphenated and non-ASCII labels, CRLF line ends, padded cells and
+    # comma-only blank lines are all plain: none of them sends a table cell by cell
+    def per_cell_rule(*args):
+        raise AssertionError("a plain table reached the per-cell rule")
+
+    monkeypatch.setattr(tableio, "_cell_to_count", per_cell_rule)
+    for text, labels in (
+        (",non-smoker,smoker\nnon-smoker,1,2\nsmoker,3,4\n", ("non-smoker", "smoker")),
+        (",日本,中国\n日本,1,2\n中国,3,4\n", ("日本", "中国")),
+        (",a,b\r\na,1,2\r\nb,3,4\r\n", ("a", "b")),
+        (",a,b\n,,\na, 1,\t2\n , \nb,+3,004\n,,\n", ("a", "b")),
+        ("\r\n, a , b \r\n,,\r\n a ,1,2\r\nb,3,4", ("a", "b")),
+    ):
+        t = parse_table_csv(text)
+        assert t.labels == labels
+        assert t.counts.tolist() == [[1, 2], [3, 4]]
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ("-0", "is not a non-negative integer: '-0'"),
+        ("+-1", "is not a non-negative integer: '+-1'"),
+        ("2.5", "is not a non-negative integer: '2.5'"),
+        ("1e3", "is not a non-negative integer: '1e3'"),
+        ("0x1", "is not a non-negative integer: '0x1'"),
+        ("inf", "is not a non-negative integer: 'inf'"),
+        ("9223372036854775808", "does not fit in a 64-bit count: '9223372036854775808'"),
+        ("12345678901234567890", "does not fit in a 64-bit count: '12345678901234567890'"),
+    ],
+)
+def test_cells_numpy_might_read_keep_the_per_cell_message(cell, message):
+    # numpy's own reader takes some of these, or warns, depending on its version
+    for newline in ("\n", "\r\n"):
+        text = newline.join((",a,b", "a,1,2", f"b,{cell},4", ""))
+        with pytest.raises(InputError) as err:
+            parse_table_csv(text)
+        assert str(err.value) == f"cell ('b', 'a') {message}"
+
+
+@pytest.mark.parametrize("cell", ['"12"', "\x0b12", "１２", "١٢"])
+def test_cells_only_the_per_cell_rule_reads_keep_their_value(cell):
+    t = parse_table_csv(f",a,b\na,1,2\nb,{cell},4\n")
+    assert t.counts.tolist() == [[1, 2], [12, 4]]
+
+
 _FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
 _ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 _DECORATIONS = (
@@ -291,6 +346,9 @@ _DECORATIONS = (
     lambda s: "000" + s,
     lambda s: s.translate(_FULLWIDTH),
     lambda s: s.translate(_ARABIC_INDIC),
+    lambda s: "-" + s,
+    lambda s: s + "e3",
+    lambda s: "0x" + s,
 )
 # 18 digits always fit in int64; 19 digits sometimes do; 20 never
 _count_text = st.one_of(
@@ -302,13 +360,13 @@ _count_text = st.one_of(
 _any_cell = st.one_of(
     _count_text,
     st.tuples(_count_text, st.sampled_from(_DECORATIONS)).map(lambda t: t[1](t[0])),
-    st.sampled_from(["1,2", "-1", "1.0", "1_0", "", " ", "+", "1 2"]),
+    st.sampled_from(["1,2", "-1", "1.0", "1_0", "", " ", "+", "1 2", "-0", "1e3", "0x1"]),
 )
 
 
 @st.composite
 def decorated_tables(draw):
-    """Labels and count cells; a row is canonical, uniformly decorated or mixed."""
+    """Labels, count cells and a line end; a row is clean, uniformly decorated or mixed."""
     size = draw(st.integers(2, 5))
     labels = draw(st.lists(_label, min_size=size, max_size=size, unique=True))
     rows = []
@@ -321,12 +379,12 @@ def decorated_tables(draw):
         else:
             cell = _any_cell
         rows.append(draw(st.lists(cell, min_size=size, max_size=size)))
-    return labels, rows
+    return labels, rows, draw(st.sampled_from(("\n", "\r\n")))
 
 
-def _render(labels, rows) -> str:
+def _render(labels, rows, newline) -> str:
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    writer = csv.writer(out, lineterminator=newline)
     writer.writerow([""] + labels)
     for label, cells in zip(labels, rows):
         writer.writerow([label] + cells)
@@ -357,10 +415,10 @@ def _per_cell_oracle(labels, rows):
 
 @given(decorated_tables())
 @settings(max_examples=300, deadline=None)
-def test_row_path_matches_per_cell_oracle(table):
-    labels, rows = table
+def test_table_path_matches_per_cell_oracle(table):
+    labels, rows, newline = table
     expected, error = _per_cell_oracle(labels, rows)
-    text = _render(labels, rows)
+    text = _render(labels, rows, newline)
     if error is None:
         t = parse_table_csv(text)
         assert t.labels == tuple(labels)
