@@ -415,7 +415,7 @@ def _per_cell_oracle(labels, rows):
 
 @given(decorated_tables())
 @settings(max_examples=300, deadline=None)
-def test_table_path_matches_per_cell_oracle(table):
+def test_row_path_matches_per_cell_oracle(table):
     labels, rows, newline = table
     expected, error = _per_cell_oracle(labels, rows)
     text = _render(labels, rows, newline)
